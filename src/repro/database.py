@@ -21,7 +21,12 @@ from dataclasses import dataclass, field, replace
 from .catalog.catalog import Catalog
 from .catalog.statistics import collect_statistics
 from .engine.evaluator import EvalEnv, evaluate
-from .engine.executor import Executor, QueryResult, Runtime
+from .engine.executor import (
+    Executor,
+    QueryResult,
+    Runtime,
+    resolve_exec_settings,
+)
 from .engine.scheduler import resolve_backend, shutdown_backends
 from .errors import ExecutionError, SemanticError, StorageError
 from .optimizer.cost import DEFAULT_W
@@ -89,18 +94,16 @@ class Database:
         self.use_heuristic = use_heuristic
         self.use_interesting_orders = use_interesting_orders
         self.subquery_cache_mode = subquery_cache_mode
+        # Validated eagerly, like ``backend`` below: a mode typo or a bad
+        # count fails at construction, not at the first SELECT.
+        resolve_exec_settings(exec_mode, workers)
         #: "fused" / "parallel" / "compiled" / "interp" / None (None reads
-        #: REPRO_EXEC, default fused) — chooses fused per-batch pipelines
-        #: (optionally worker-pool parallel), per-operator closure
-        #: programs, or the reference interpreter.
+        #: REPRO_EXEC at statement time, default fused) — chooses fused
+        #: per-batch pipelines (optionally worker-pool parallel),
+        #: per-operator closure programs, or the reference interpreter.
         self.exec_mode = exec_mode
         #: Worker count for ``parallel`` mode; None reads REPRO_WORKERS
-        #: (falling back to the CPU count).  Validated eagerly so a bad
-        #: count fails at construction, not at the first statement.
-        if workers is not None and workers < 1:
-            raise ValueError(
-                f"bad worker count {workers!r}: expected a positive integer"
-            )
+        #: (falling back to the CPU count).
         self.workers = workers
         #: Worker-pool backend for ``parallel`` mode: "thread" or
         #: "process"; None reads REPRO_BACKEND (default thread).
@@ -144,10 +147,15 @@ class Database:
             ),
         )
 
-    def executor(self) -> Executor:
-        """A fresh executor bound to this database's storage and catalog."""
+    def executor(self, storage=None) -> Executor:
+        """A fresh executor carrying this database's execution settings.
+
+        ``storage`` defaults to the live engine; a session passes the
+        :class:`~repro.serving.session.SnapshotStorage` of its pin.
+        """
         return Executor(
-            self.storage, self.catalog, self.subquery_cache_mode,
+            self.storage if storage is None else storage,
+            self.catalog, self.subquery_cache_mode,
             exec_mode=self.exec_mode, workers=self.workers,
             backend=self.backend,
         )
@@ -413,12 +421,7 @@ class Database:
             where=where,
         )
         planned = self.plan_query(query)
-        executor = Executor(
-            self.storage, self.catalog, self.subquery_cache_mode,
-            exec_mode=self.exec_mode, workers=self.workers,
-            backend=self.backend,
-        )
-        return planned, list(executor.execute_rows(planned))
+        return planned, list(self.executor().execute_rows(planned))
 
     def _update(self, statement: ast.UpdateStmt) -> StatementResult:
         table = self.catalog.table(statement.table_name)
@@ -479,11 +482,7 @@ class Database:
     # -- internals -----------------------------------------------------------------------
 
     def _run(self, planned: PlannedStatement) -> QueryResult:
-        executor = Executor(
-            self.storage, self.catalog, self.subquery_cache_mode,
-            exec_mode=self.exec_mode, workers=self.workers,
-            backend=self.backend,
-        )
+        executor = self.executor()
         self.last_executor = executor
         return executor.execute(planned)
 

@@ -120,7 +120,12 @@ def resolve_exec_mode(exec_mode: str | None = None) -> str:
 
 
 class Runtime:  # concurrency: statement-scoped
-    """Cross-block execution services for one statement."""
+    """Cross-block execution services for one statement.
+
+    ``exec_mode``, ``workers`` and ``backend`` arrive already resolved
+    (one of :data:`VALID_EXEC_MODES`, a positive count, a valid backend):
+    the :class:`Executor` resolves arguments and environment once.
+    """
 
     def __init__(
         self,
@@ -128,21 +133,20 @@ class Runtime:  # concurrency: statement-scoped
         catalog: Catalog,
         planned: PlannedStatement,
         subquery_cache_mode: str = "prev",
-        exec_mode: str | None = None,
-        workers: int | None = None,
-        backend: str | None = None,
+        exec_mode: str = "fused",
+        workers: int = 1,
+        backend: str = "thread",
     ):
         if subquery_cache_mode not in ("prev", "none", "memo"):
             raise ValueError(f"bad subquery_cache_mode {subquery_cache_mode!r}")
-        mode, resolved_workers = resolve_exec_settings(exec_mode, workers)
-        self.backend = resolve_backend(backend)
-        self.interpret = mode == "interp"
+        self.backend = backend
+        self.interpret = exec_mode == "interp"
         # Parallel mode rides the fused driver infrastructure: eligible
         # chains get worker-pool drivers, everything else falls back to
         # the serial fused engine.
-        self.parallel = mode == "parallel"
-        self.fused = mode == "fused" or self.parallel
-        self.workers = resolved_workers
+        self.parallel = exec_mode == "parallel"
+        self.fused = exec_mode == "fused" or self.parallel
+        self.workers = workers
         self.storage = storage
         self.catalog = catalog
         self.planned = planned
@@ -262,11 +266,11 @@ def _context_for(runtime: Runtime, planned: PlannedStatement) -> ExecContext:
     return ExecContext(
         runtime=runtime,
         schemas=schemas,
-        interpret=getattr(runtime, "interpret", False),
-        fused=getattr(runtime, "fused", False),
-        parallel=getattr(runtime, "parallel", False),
-        workers=getattr(runtime, "workers", 1),
-        backend=getattr(runtime, "backend", "thread"),
+        interpret=runtime.interpret,
+        fused=runtime.fused,
+        parallel=runtime.parallel,
+        workers=runtime.workers,
+        backend=runtime.backend,
     )
 
 

@@ -29,6 +29,14 @@ Pipeline breakers terminate chains and couple them batch-at-a-time:
   subquery cache hits, cost-counter footprint) is identical by
   construction.
 
+A chain's per-tuple work is written once, as a **chunk processor**
+mapping SARG-matched ``(tid, values)`` pairs to an output batch; the
+serial driver here applies it over ``scan.batches()``, and the parallel
+engine hands the same processor to the scan kernel of
+:mod:`repro.engine.scheduler` on thread workers (process workers run
+the kernel's position-only processors and leave the rest to the
+gather).
+
 Counter fidelity: ``batches()`` does no RSI accounting; drivers charge
 ``CostCounters.count_rsi_call(len(batch))`` before a batch is processed.
 Totals match the tuple-at-a-time path exactly because every batched
@@ -44,8 +52,8 @@ context, so a cached plan re-executes with fresh runtimes.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from itertools import chain, islice
-from operator import itemgetter
 from typing import Callable, Iterator
 
 from ..errors import ExecutionError
@@ -73,6 +81,7 @@ from .operators import (
     _build_nested_loop,
     _build_project,
     _build_scan,
+    _HashJoinProgram,
     _program,
     aggregate_rows,
     build_hash_table,
@@ -82,6 +91,7 @@ from .operators import (
     sort_rows,
 )
 from .rows import AGGREGATE_ALIAS, OUTPUT_ALIAS, Row
+from .scheduler import columns_getter, columns_processor, run_folder
 
 #: Rows per re-emitted batch downstream of a pipeline breaker.
 BREAKER_BATCH_SIZE = 1024
@@ -146,8 +156,8 @@ def describe_chains(node: PlanNode) -> list[str]:
 
 def _fused_program(node: PlanNode, ctx: ExecContext) -> BatchDriver:
     # Parallel mode compiles its own driver tree: eligible chains get
-    # worker-pool drivers, the rest reuse the serial builders below, and
-    # the distinct cache key keeps the two engines from mixing.  Drivers
+    # morsel-scheduled drivers, the rest the serial ones, and the
+    # distinct cache key keeps the two engines from mixing.  Drivers
     # read ``ctx.workers`` at call time, so one cached parallel driver
     # serves any worker count.
     cache = node.compiled
@@ -167,12 +177,6 @@ def _build_fused(node: PlanNode, ctx: ExecContext) -> BatchDriver:
     if isinstance(node, (ProjectNode, FilterNode, ScanNode)):
         project, filters, bottom = _collapse(node)
         if isinstance(bottom, ScanNode):
-            if ctx.parallel:
-                from .parallel import parallel_chain_driver
-
-                driver = parallel_chain_driver(bottom, filters, project, ctx)
-                if driver is not None:
-                    return driver
             return _scan_chain_driver(bottom, filters, project, ctx)
         preds = [_program(f, ctx, _build_filter) for f in filters]
         fns = None if project is None else _program(project, ctx, _build_project)
@@ -242,25 +246,17 @@ def _combine(preds) -> Callable[[EvalEnv], bool] | None:
     return conj
 
 
-def _columns_getter(exprs, alias: str) -> Callable[[tuple], tuple] | None:
-    """An ``itemgetter`` building the output tuple straight from one scan's
-    decoded values — only when every projected expression is a plain column
-    of that scan, so no compiled closure could observe a difference."""
+def _column_positions(exprs, alias: str) -> tuple[int, ...] | None:
+    """The projected column positions when every expression is a plain
+    column of the scan ``alias`` — the output tuple is then an
+    ``itemgetter`` over the decoded values, and no compiled closure
+    could observe a difference."""
     positions = []
     for expr in exprs:
         if type(expr) is not BoundColumn or expr.alias != alias:
             return None
         positions.append(expr.position)
-    if not positions:
-        return None
-    if len(positions) == 1:
-        get = itemgetter(positions[0])
-
-        def single(values: tuple, _get=get) -> tuple:
-            return (_get(values),)
-
-        return single
-    return itemgetter(*positions)
+    return tuple(positions) or None
 
 
 def _rebatch(rows: Iterator[Row], size: int = BREAKER_BATCH_SIZE):
@@ -278,102 +274,132 @@ def _rebatch(rows: Iterator[Row], size: int = BREAKER_BATCH_SIZE):
 # ---------------------------------------------------------------------------
 
 
+def _scan_driver(
+    scan_node: ScanNode,
+    filters: list[FilterNode],
+    project: ProjectNode | None,
+    make_process,
+    ctx: ExecContext,
+    out_positions: tuple[int, ...] | None = None,
+) -> BatchDriver:
+    """Schedule a chain's chunk processor over its scan.
+
+    ``make_process(ctx, outer)`` builds the per-chunk closure mapping
+    SARG-matched ``(tid, values)`` pairs to an output batch.  Parallel
+    mode hands the factory to the morsel scheduler when the chain is
+    eligible; otherwise the processor runs serially over
+    ``scan.batches()``.  Either way RSI is charged chunk-at-a-time
+    *before* residual evaluation — the same point in the stream the
+    per-tuple path charges each tuple, so fully consumed chains land on
+    identical totals.
+    """
+    program = _program(scan_node, ctx, _build_scan)
+    if ctx.parallel:
+        from .parallel import parallel_scan_driver
+
+        exprs = [pred for f in filters for pred in f.predicates]
+        if project is not None:
+            exprs.extend(project.exprs)
+        parallel = parallel_scan_driver(
+            scan_node, program, exprs, make_process, out_positions
+        )
+        if parallel is not None:
+            return parallel
+
+    def driver(ctx: ExecContext, outer: EvalEnv | None):
+        scan = open_scan(scan_node, program, ctx, outer)
+        if scan is None:
+            return
+        count_rsi = ctx.storage.counters.count_rsi_call
+        process = make_process(ctx, outer)
+        for batch in scan.batches():
+            count_rsi(len(batch))
+            out = process(batch)
+            if out:
+                yield out
+
+    return driver
+
+
+def _chain_closures(
+    scan_node: ScanNode,
+    filters: list[FilterNode],
+    project: ProjectNode | None,
+    ctx: ExecContext,
+):
+    """A chain's combined predicate and projection closures (or ``None``)."""
+    preds = [_program(scan_node, ctx, _build_scan).residual]
+    preds.extend(_program(f, ctx, _build_filter) for f in filters)
+    fns = None if project is None else _program(project, ctx, _build_project)
+    return _combine(preds), fns
+
+
+def _with_env(process):
+    """A processor factory binding ``process(env, chunk)`` to a fresh
+    mutable environment per open (and per worker task)."""
+
+    def make_process(ctx: ExecContext, outer: EvalEnv | None):
+        return partial(process, ctx.env(Row(), outer))
+
+    return make_process
+
+
 def _scan_chain_driver(
     scan_node: ScanNode,
     filters: list[FilterNode],
     project: ProjectNode | None,
     ctx: ExecContext,
 ) -> BatchDriver:
-    """The core fusion: ``Scan→Filter*→Project?`` as one per-batch loop.
-
-    RSI is charged batch-at-a-time *before* residual evaluation — the same
-    point in the stream the per-tuple path charges each tuple, so fully
-    consumed chains land on identical totals.
-    """
-    program = _program(scan_node, ctx, _build_scan)
+    """The core fusion: ``Scan→Filter*→Project?`` as one loop per chunk,
+    in four flavors by which of the predicate and projection exist."""
     alias = scan_node.alias
-    preds = [program.residual]
-    preds.extend(_program(f, ctx, _build_filter) for f in filters)
-    test = _combine(preds)
-    fns = None if project is None else _program(project, ctx, _build_project)
+    test, fns = _chain_closures(scan_node, filters, project, ctx)
 
     if test is None and fns is None:
 
-        def rows_driver(ctx: ExecContext, outer: EvalEnv | None):
-            scan = open_scan(scan_node, program, ctx, outer)
-            if scan is None:
-                return
-            count_rsi = ctx.storage.counters.count_rsi_call
-            for batch in scan.batches():
-                count_rsi(len(batch))
-                yield [
-                    Row(values={alias: values}, tids={alias: tid})
-                    for tid, values in batch
-                ]
+        def process(env: EvalEnv, chunk):
+            return [
+                Row(values={alias: values}, tids={alias: tid})
+                for tid, values in chunk
+            ]
 
-        return rows_driver
+    elif fns is None:
 
-    if fns is None:
-
-        def filter_driver(ctx: ExecContext, outer: EvalEnv | None):
-            scan = open_scan(scan_node, program, ctx, outer)
-            if scan is None:
-                return
-            count_rsi = ctx.storage.counters.count_rsi_call
-            env = ctx.env(Row(), outer)
-            for batch in scan.batches():
-                count_rsi(len(batch))
-                out = []
-                append = out.append
-                for tid, values in batch:
-                    row = Row(values={alias: values}, tids={alias: tid})
-                    env.row = row
-                    if test(env):
-                        append(row)
-                if out:
-                    yield out
-
-        return filter_driver
-
-    if test is None:
-
-        def project_driver(ctx: ExecContext, outer: EvalEnv | None):
-            scan = open_scan(scan_node, program, ctx, outer)
-            if scan is None:
-                return
-            count_rsi = ctx.storage.counters.count_rsi_call
-            env = ctx.env(Row(), outer)
-            for batch in scan.batches():
-                count_rsi(len(batch))
-                out = []
-                append = out.append
-                for tid, values in batch:
-                    tids = {alias: tid}
-                    env.row = Row(values={alias: values}, tids=tids)
-                    append(
-                        Row(
-                            values={
-                                alias: values,
-                                OUTPUT_ALIAS: tuple([fn(env) for fn in fns]),
-                            },
-                            tids=tids,
-                        )
-                    )
-                yield out
-
-        return project_driver
-
-    def chain_driver(ctx: ExecContext, outer: EvalEnv | None):
-        scan = open_scan(scan_node, program, ctx, outer)
-        if scan is None:
-            return
-        count_rsi = ctx.storage.counters.count_rsi_call
-        env = ctx.env(Row(), outer)
-        for batch in scan.batches():
-            count_rsi(len(batch))
+        def process(env: EvalEnv, chunk):
             out = []
             append = out.append
-            for tid, values in batch:
+            for tid, values in chunk:
+                row = Row(values={alias: values}, tids={alias: tid})
+                env.row = row
+                if test(env):
+                    append(row)
+            return out
+
+    elif test is None:
+
+        def process(env: EvalEnv, chunk):
+            out = []
+            append = out.append
+            for tid, values in chunk:
+                tids = {alias: tid}
+                env.row = Row(values={alias: values}, tids=tids)
+                append(
+                    Row(
+                        values={
+                            alias: values,
+                            OUTPUT_ALIAS: tuple([fn(env) for fn in fns]),
+                        },
+                        tids=tids,
+                    )
+                )
+            return out
+
+    else:
+
+        def process(env: EvalEnv, chunk):
+            out = []
+            append = out.append
+            for tid, values in chunk:
                 tids = {alias: tid}
                 env.row = Row(values={alias: values}, tids=tids)
                 if test(env):
@@ -386,10 +412,9 @@ def _scan_chain_driver(
                             tids=tids,
                         )
                     )
-            if out:
-                yield out
+            return out
 
-    return chain_driver
+    return _scan_driver(scan_node, filters, project, _with_env(process), ctx)
 
 
 def _row_chain_driver(
@@ -545,35 +570,52 @@ def _hash_join_driver(node: HashJoinNode, ctx: ExecContext) -> BatchDriver:
 
     program = _program(node, ctx, _build_hash_join)
     outer_source = _fused_program(node.outer, ctx)
-    outer_getters = program.outer_getters
-    residual = program.residual
 
     def driver(ctx: ExecContext, outer: EvalEnv | None):
         count_rsi = ctx.storage.counters.count_rsi_call
         table = build_hash_table(node, program, ctx, outer)
         env = ctx.env(Row(), outer)
         for outer_batch in outer_source(ctx, outer):
-            out = []
-            append = out.append
-            for outer_row in outer_batch:
-                key = tuple([getter(outer_row) for getter in outer_getters])
-                bucket = table.get(key)
-                if bucket is None:
-                    continue
-                count_rsi(len(bucket))
-                if residual is None:
-                    for inner_row in bucket:
-                        append(outer_row.merged(inner_row))
-                else:
-                    for inner_row in bucket:
-                        merged = outer_row.merged(inner_row)
-                        env.row = merged
-                        if residual(env):
-                            append(merged)
+            out = probe_hash_table(outer_batch, table, program, env, count_rsi)
             if out:
                 yield out
 
     return driver
+
+
+def probe_hash_table(
+    outer_rows: list[Row],
+    table: dict[tuple, list[Row]],
+    program: _HashJoinProgram,
+    env: EvalEnv,
+    count_rsi: Callable[[int], None],
+) -> list[Row]:
+    """The probe loop over one batch (or one worker's chunk) of outer rows.
+
+    Each probed bucket charges its size in RSI calls before the residual
+    runs, exactly like the per-tuple path; a key with a NULL component
+    is never in the table, so the bucket miss handles 3VL.
+    """
+    getters = program.outer_getters
+    residual = program.residual
+    out: list[Row] = []
+    append = out.append
+    for outer_row in outer_rows:
+        key = tuple([getter(outer_row) for getter in getters])
+        bucket = table.get(key)
+        if bucket is None:
+            continue
+        count_rsi(len(bucket))
+        if residual is None:
+            for inner_row in bucket:
+                append(outer_row.merged(inner_row))
+        else:
+            for inner_row in bucket:
+                merged = outer_row.merged(inner_row)
+                env.row = merged
+                if residual(env):
+                    append(merged)
+    return out
 
 
 def _merge_join_driver(node: MergeJoinNode, ctx: ExecContext) -> BatchDriver:
@@ -630,16 +672,16 @@ def _sort_driver(node: SortNode, ctx: ExecContext) -> BatchDriver:
 
 
 def _aggregate_driver(node: AggregateNode, ctx: ExecContext) -> BatchDriver:
-    program = _program(node, ctx, _build_aggregate)
-    if ctx.parallel:
-        from .parallel import parallel_aggregate_driver
+    shape = scan_fold_shape(node, ctx)
+    if shape is not None:
+        if ctx.parallel:
+            from .parallel import parallel_aggregate_driver
 
-        par = parallel_aggregate_driver(node, ctx)
-        if par is not None:
-            return par
-    fast = _scan_aggregate_driver(node, ctx)
-    if fast is not None:
-        return fast
+            par = parallel_aggregate_driver(node, ctx)
+            if par is not None:
+                return par
+        return scan_fold_driver(node, ctx, shape)
+    program = _program(node, ctx, _build_aggregate)
     source = _fused_program(node.child, ctx)
 
     def driver(ctx: ExecContext, outer: EvalEnv | None):
@@ -651,27 +693,23 @@ def _aggregate_driver(node: AggregateNode, ctx: ExecContext) -> BatchDriver:
     return driver
 
 
-def _scan_aggregate_driver(
-    node: AggregateNode, ctx: ExecContext
-) -> BatchDriver | None:
-    """``Scan→Aggregate`` folded in one loop over decoded storage tuples.
+def scan_fold_shape(node: AggregateNode, ctx: ExecContext):
+    """``(scan node, scan program, key positions, argument positions)``
+    when ``Scan→Aggregate`` can fold decoded storage tuples directly.
 
-    When the input is a bare scan (group order from an index) and every
-    grouping key and aggregate argument is a plain column of that scan,
-    the per-tuple fold indexes the decoded values tuple directly — no
-    composite ``Row``, no environment, no compiled-closure calls below
-    the group boundary.  One representative ``Row`` per *group* survives
-    for HAVING and downstream projection, exactly as the reference
-    streaming aggregation builds it.
+    That needs a bare scan below (group order from an index, or none for
+    ungrouped aggregates), no residual, and every grouping key and
+    aggregate argument a plain column of that scan; ``None`` otherwise.
+    Argument positions align with ``node.aggregates`` (``None`` marks
+    ``COUNT(*)``).
     """
     project, filters, bottom = _collapse(node.child)
     if project is not None or filters or not isinstance(bottom, ScanNode):
         return None
-    scan_node = bottom
-    scan_program = _program(scan_node, ctx, _build_scan)
+    scan_program = _program(bottom, ctx, _build_scan)
     if scan_program.residual is not None:
         return None
-    alias = scan_node.alias
+    alias = bottom.alias
     for column in node.group_by:
         if column.alias != alias:
             return None
@@ -686,61 +724,77 @@ def _scan_aggregate_driver(
             arg_positions.append(call.argument.position)
         else:
             return None
-    positions = tuple(arg_positions)
     key_positions = tuple(column.position for column in node.group_by)
+    return bottom, scan_program, key_positions, tuple(arg_positions)
+
+
+def scan_fold_driver(
+    node: AggregateNode, ctx: ExecContext, shape, morsel_runs=None
+) -> BatchDriver:
+    """``Scan→Aggregate`` folded over decoded storage tuples.
+
+    The per-tuple fold (:func:`~repro.engine.scheduler.run_folder`)
+    indexes the decoded values tuple directly — no composite ``Row``, no
+    environment, no compiled-closure calls below the group boundary.
+    One representative ``Row`` per *group* is built at emit for HAVING
+    and downstream projection, exactly as the reference streaming
+    aggregation builds it.
+
+    Serially the folder runs over ``scan.batches()`` and finished groups
+    emit between batches (a HAVING subquery keeps its place in the fetch
+    trace).  ``morsel_runs(ctx, outer)``, when given, instead yields each
+    morsel's partial runs in scan order; a group continuing across a
+    morsel seam has its partial states merged.
+    """
+    scan_node, scan_program, key_positions, arg_positions = shape
+    alias = scan_node.alias
     aggregates = tuple(node.aggregates)
-    program = _program(node, ctx, _build_aggregate)
-    having = program.having
+    having = _program(node, ctx, _build_aggregate).having
     grouped = bool(node.group_by)
 
     def driver(ctx: ExecContext, outer: EvalEnv | None):
         having_env = None if having is None else ctx.env(Row(), outer)
+        emitted: list[Row] = []
+        runs: list[tuple] = []
 
-        def emit(representative: Row, states) -> Row | None:
+        def emit(representative: Row, states) -> None:
             results = tuple([state.result() for state in states])
             out = representative.with_alias(AGGREGATE_ALIAS, results)
             if having is not None:
                 having_env.row = out
                 if having(having_env) is not True:
-                    return None
-            return out
+                    return
+            emitted.append(out)
 
-        scan = open_scan(scan_node, scan_program, ctx, outer)
-        emitted: list[Row] = []
-        current_key: object = None
-        representative: Row | None = None
-        states: list = []
-        saw_rows = False
-        if scan is not None:
-            count_rsi = ctx.storage.counters.count_rsi_call
-            for batch in scan.batches():
-                count_rsi(len(batch))
-                for tid, values in batch:
-                    key = tuple([values[p] for p in key_positions])
-                    if not saw_rows or key != current_key:
-                        if representative is not None:
-                            out = emit(representative, states)
-                            if out is not None:
-                                emitted.append(out)
-                        current_key = key
-                        representative = Row(
-                            values={alias: values}, tids={alias: tid}
-                        )
-                        states = [_AggState(call) for call in aggregates]
-                    saw_rows = True
-                    for state, position in zip(states, positions):
-                        state.add(
-                            None if position is None else values[position]
-                        )
-        if representative is not None:
-            out = emit(representative, states)
-            if out is not None:
-                emitted.append(out)
-        elif not saw_rows and not grouped:
+        def flush(count: int) -> None:
+            for __, states, tid, values in runs[:count]:
+                emit(Row(values={alias: values}, tids={alias: tid}), states)
+            del runs[:count]
+
+        if morsel_runs is not None:
+            for morsel in morsel_runs(ctx, outer):
+                if runs and morsel and morsel[0][0] == runs[-1][0]:
+                    for mine, other in zip(runs[-1][1], morsel[0][1]):
+                        mine.merge(other)
+                    del morsel[0]
+                runs.extend(morsel)
+                if len(runs) > 1:
+                    flush(len(runs) - 1)
+        else:
+            scan = open_scan(scan_node, scan_program, ctx, outer)
+            if scan is not None:
+                count_rsi = ctx.storage.counters.count_rsi_call
+                fold = run_folder(runs, key_positions, arg_positions, aggregates)
+                for batch in scan.batches():
+                    count_rsi(len(batch))
+                    fold(batch)
+                    if len(runs) > 1:
+                        flush(len(runs) - 1)
+        if runs:
+            flush(1)
+        elif not grouped:
             # Aggregates over an empty input still produce one row.
-            out = emit(Row(), [_AggState(call) for call in aggregates])
-            if out is not None:
-                emitted.append(out)
+            emit(Row(), [_AggState(call) for call in aggregates])
         if emitted:
             yield emitted
 
@@ -803,12 +857,6 @@ def _build_output(node: PlanNode, ctx: ExecContext) -> BatchDriver:
         project, filters, bottom = _collapse(node)
         assert project is not None
         if isinstance(bottom, ScanNode):
-            if ctx.parallel:
-                from .parallel import parallel_output_driver
-
-                driver = parallel_output_driver(bottom, filters, project, ctx)
-                if driver is not None:
-                    return driver
             return _scan_output_driver(bottom, filters, project, ctx)
         preds = [_program(f, ctx, _build_filter) for f in filters]
         return _row_output_driver(
@@ -836,87 +884,53 @@ def _scan_output_driver(
     When the whole select list is plain columns of the scanned relation
     the projection collapses to a single :func:`operator.itemgetter` over
     the decoded storage tuple — no environment, no ``Row``, no closure
-    calls per column.
+    calls per column — and, unfiltered, the whole processor is
+    position-only, so process workers can apply it too.
     """
-    program = _program(scan_node, ctx, _build_scan)
     alias = scan_node.alias
-    preds = [program.residual]
-    preds.extend(_program(f, ctx, _build_filter) for f in filters)
-    test = _combine(preds)
-    fns = _program(project, ctx, _build_project)
-    fast = _columns_getter(project.exprs, alias)
+    test, fns = _chain_closures(scan_node, filters, project, ctx)
+    positions = _column_positions(project.exprs, alias)
 
-    if test is None and fast is not None:
-
-        def direct_driver(ctx: ExecContext, outer: EvalEnv | None):
-            scan = open_scan(scan_node, program, ctx, outer)
-            if scan is None:
-                return
-            count_rsi = ctx.storage.counters.count_rsi_call
-            for batch in scan.batches():
-                count_rsi(len(batch))
-                yield [fast(values) for __, values in batch]
-
-        return direct_driver
+    if test is None and positions is not None:
+        direct = columns_processor(positions)
+        return _scan_driver(
+            scan_node, filters, project, lambda ctx, outer: direct, ctx, positions
+        )
 
     if test is None:
 
-        def project_driver(ctx: ExecContext, outer: EvalEnv | None):
-            scan = open_scan(scan_node, program, ctx, outer)
-            if scan is None:
-                return
-            count_rsi = ctx.storage.counters.count_rsi_call
-            env = ctx.env(Row(), outer)
-            for batch in scan.batches():
-                count_rsi(len(batch))
-                out = []
-                append = out.append
-                for __, values in batch:
-                    env.row = Row(values={alias: values})
-                    append(tuple([fn(env) for fn in fns]))
-                yield out
-
-        return project_driver
-
-    if fast is not None:
-
-        def filtered_direct_driver(ctx: ExecContext, outer: EvalEnv | None):
-            scan = open_scan(scan_node, program, ctx, outer)
-            if scan is None:
-                return
-            count_rsi = ctx.storage.counters.count_rsi_call
-            env = ctx.env(Row(), outer)
-            for batch in scan.batches():
-                count_rsi(len(batch))
-                out = []
-                append = out.append
-                for __, values in batch:
-                    env.row = Row(values={alias: values})
-                    if test(env):
-                        append(fast(values))
-                if out:
-                    yield out
-
-        return filtered_direct_driver
-
-    def chain_driver(ctx: ExecContext, outer: EvalEnv | None):
-        scan = open_scan(scan_node, program, ctx, outer)
-        if scan is None:
-            return
-        count_rsi = ctx.storage.counters.count_rsi_call
-        env = ctx.env(Row(), outer)
-        for batch in scan.batches():
-            count_rsi(len(batch))
+        def process(env: EvalEnv, chunk):
             out = []
             append = out.append
-            for __, values in batch:
+            for __, values in chunk:
+                env.row = Row(values={alias: values})
+                append(tuple([fn(env) for fn in fns]))
+            return out
+
+    elif positions is not None:
+        fast = columns_getter(positions)
+
+        def process(env: EvalEnv, chunk):
+            out = []
+            append = out.append
+            for __, values in chunk:
+                env.row = Row(values={alias: values})
+                if test(env):
+                    append(fast(values))
+            return out
+
+    else:
+
+        def process(env: EvalEnv, chunk):
+            out = []
+            append = out.append
+            for __, values in chunk:
                 env.row = Row(values={alias: values})
                 if test(env):
                     append(tuple([fn(env) for fn in fns]))
-            if out:
-                yield out
+            return out
 
-    return chain_driver
+    return _scan_driver(scan_node, filters, project, _with_env(process), ctx)
 
 
 def _row_output_driver(

@@ -1,25 +1,29 @@
-"""Morsel-driven scheduling and pluggable execution backends.
+"""One scan kernel, morsel-driven scheduling, pluggable backends.
 
-PR 7 fanned each eligible scan out as *static* contiguous page ranges
-(two per worker).  A skewed partition — all the matching tuples clustered
-in one range, or a Python-heavy predicate firing on one hot key — then
-serializes the pipeline: the worker that drew the hot range runs long
-after its siblings go idle.  This module replaces that fan-out with
-**morsel-driven scheduling**: a scan decomposes into small fixed-size
-page morsels (``REPRO_MORSEL_PAGES``, default 4) that are all submitted
-eagerly, so the pool's internal queue *is* the shared work queue and any
-idle worker pulls the next morsel — work-stealing by construction, no
-per-range assignment to get wrong.  ``REPRO_SCHEDULE=static`` restores
-the PR 7 ranges as the measured baseline for ``repro bench --exec
---morsel``.
+**The kernel.**  :func:`scan_pages` is the engine's one page loop —
+decode a page, SARG-match below the tuple interface, charge RSI per
+page-aligned chunk of at most ``DEFAULT_BATCH_SIZE`` rows, hand the
+chunk to a *chunk processor* — and every scheduler runs it: thread
+workers call it over a morsel's pages with the chain's compiled
+processor, process workers reach it through the picklable
+:func:`run_scan_morsel` / :func:`run_agg_morsel` wrappers, and the
+serial fused driver applies the same processors over
+``scan.batches()``.  Streaming-group folding is the same kernel with
+:func:`run_folder` as its processor (:func:`fold_pages`).
 
-Counter fidelity is unchanged from the static design because it never
-depended on the range shapes: every task counts into a private
-:class:`~repro.rss.counters.CostCounters` merged at the gather in
-deterministic morsel (submission) order, and the driving thread replays
-``BufferPool.fetch`` in serial page order as results drain.  Rows and
-counters are therefore bit-identical to the fused engine at any worker
-count and any morsel size.
+**Scheduling.**  A scan decomposes into small fixed-size page morsels
+(``REPRO_MORSEL_PAGES``, default 4) that are all submitted eagerly, so
+the pool's internal queue *is* the shared work queue and any idle
+worker pulls the next morsel — work-stealing by construction, no
+per-range assignment to get wrong when matching tuples cluster on a
+few pages.
+
+Counter fidelity never depends on the range shapes: every task counts
+into a private :class:`~repro.rss.counters.CostCounters` merged at the
+gather in deterministic morsel (submission) order, and the driving
+thread replays ``BufferPool.fetch`` in serial page order as results
+drain.  Rows and counters are therefore bit-identical to the fused
+engine at any worker count and any morsel size.
 
 Three backends sit behind one seam — ``imap(tasks)`` yields results in
 submission order with eager submission:
@@ -69,13 +73,6 @@ DEFAULT_MORSEL_PAGES = 4
 #: Every execution backend an entry point may select.
 VALID_BACKENDS = ("thread", "process")
 
-#: Scan scheduling policies: ``morsel`` (the default) versus the PR 7
-#: ``static`` contiguous ranges, kept as the measurable baseline.
-VALID_SCHEDULES = ("morsel", "static")
-
-#: Static schedule: contiguous ranges per worker (the PR 7 fan-out).
-STATIC_PARTITIONS_PER_WORKER = 2
-
 
 def resolve_backend(backend: str | None = None) -> str:
     """The execution backend: ``"thread"`` (default) or ``"process"``.
@@ -89,17 +86,6 @@ def resolve_backend(backend: str | None = None) -> str:
         raise ValueError(
             f"unknown backend {choice!r}; valid backends: "
             + ", ".join(VALID_BACKENDS)
-        )
-    return choice
-
-
-def resolve_schedule(schedule: str | None = None) -> str:
-    """The scan scheduling policy: ``"morsel"`` (default) or ``"static"``."""
-    choice = schedule or os.environ.get("REPRO_SCHEDULE", "morsel")
-    if choice not in VALID_SCHEDULES:
-        raise ValueError(
-            f"unknown schedule {choice!r}; valid schedules: "
-            + ", ".join(VALID_SCHEDULES)
         )
     return choice
 
@@ -139,21 +125,6 @@ def morsel_ranges(count: int, pages: int) -> list[tuple[int, int]]:
     return [
         (start, min(start + pages, count)) for start in range(0, count, pages)
     ]
-
-
-def scan_ranges(page_count: int, workers: int) -> list[tuple[int, int]]:
-    """Page ranges for one scan under the configured schedule.
-
-    ``morsel`` emits fixed-size morsels regardless of worker count —
-    submitted eagerly, they form the shared queue idle workers steal
-    from.  ``static`` reproduces the PR 7 contiguous fan-out (two ranges
-    per worker) so the bench can measure steal-vs-static on skew.
-    """
-    if resolve_schedule() == "static":
-        return partition_ranges(
-            page_count, workers * STATIC_PARTITIONS_PER_WORKER
-        )
-    return morsel_ranges(page_count, morsel_pages())
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +256,124 @@ atexit.register(shutdown_backends)
 
 
 # ---------------------------------------------------------------------------
+# the scan kernel and its backend-independent chunk processors
+# ---------------------------------------------------------------------------
+
+
+def scan_pages(
+    pages, relation_id: int, decode, matcher, process
+) -> tuple[CostCounters, list[list]]:
+    """The scan kernel: decode, SARG-match, and process ``(page_id, Page)``
+    pairs.
+
+    Counts into a private :class:`CostCounters` and never touches the
+    buffer pool (the driving thread replays fetches in serial page order
+    as results drain).  Matched rows are chunked exactly as the serial
+    scan's page-aligned batches, so RSI charges land in identical
+    quanta.  Returns the counters and, per page, ``process(chunk)`` for
+    each of its chunks.
+    """
+    counters = CostCounters()
+    count_rsi = counters.count_rsi_call
+    results: list[list] = []
+    for page_id, page in pages:
+        rows = decode_page_rows(page_id, page, relation_id, decode)
+        if matcher is not None:
+            rows = [item for item in rows if matcher(item[1])]
+        chunks: list = []
+        for start in range(0, len(rows), DEFAULT_BATCH_SIZE):
+            chunk = rows[start : start + DEFAULT_BATCH_SIZE]
+            count_rsi(len(chunk))
+            chunks.append(process(chunk))
+        results.append(chunks)
+    return counters, results
+
+
+def columns_getter(positions: tuple[int, ...]):
+    """An ``itemgetter`` building an output tuple straight from one
+    scan's decoded values (a 1-tuple for a single position)."""
+    if len(positions) == 1:
+        get = itemgetter(positions[0])
+
+        def single(values: tuple, _get=get) -> tuple:
+            return (_get(values),)
+
+        return single
+    return itemgetter(*positions)
+
+
+def columns_processor(positions: tuple[int, ...]):
+    """The all-plain-columns chunk processor: bare output tuples with no
+    environment, no ``Row``, and no closure call per column."""
+    getter = columns_getter(positions)
+
+    def process(chunk):
+        return [getter(values) for __, values in chunk]
+
+    return process
+
+
+def raw_chunk(chunk):
+    """The pass-through processor: process workers return ``(tid,
+    values)`` chunks for the driver's unpicklable closures."""
+    return chunk
+
+
+def run_folder(
+    runs: list[tuple],
+    key_positions: tuple[int, ...],
+    arg_positions: tuple[int | None, ...],
+    calls,
+):
+    """A chunk processor folding rows into per-group partial states.
+
+    Appends ``(key, states, tid, values)`` to ``runs`` in
+    first-occurrence order under streaming (adjacency) group semantics —
+    a key reappearing after another opens a new run — with ``tid`` and
+    ``values`` those of the run's first row.  The open group carries
+    across calls, so a consumer may emit and drop every run but the
+    last between chunks.
+    """
+    current_key: object = None
+    states: list[_AggState] = []
+
+    def fold(chunk) -> None:
+        nonlocal current_key, states
+        for tid, values in chunk:
+            key = tuple([values[p] for p in key_positions])
+            if key != current_key:
+                current_key = key
+                states = [_AggState(call) for call in calls]
+                runs.append((key, states, tid, values))
+            for state, position in zip(states, arg_positions):
+                state.add(None if position is None else values[position])
+
+    return fold
+
+
+def fold_pages(
+    pages,
+    relation_id: int,
+    decode,
+    matcher,
+    key_positions: tuple[int, ...],
+    arg_positions: tuple[int | None, ...],
+    calls,
+) -> tuple[CostCounters, int, list[tuple]]:
+    """The scan kernel with a :func:`run_folder` processor: one morsel's
+    ``(counters, page_count, runs)``."""
+    runs: list[tuple] = []
+    counters, results = scan_pages(
+        pages,
+        relation_id,
+        decode,
+        matcher,
+        run_folder(runs, key_positions, arg_positions, calls),
+    )
+    return counters, len(results), runs
+
+
+# ---------------------------------------------------------------------------
 # picklable morsel payloads (ProcessBackend worker functions)
 # ---------------------------------------------------------------------------
 
@@ -294,7 +383,7 @@ class ScanMorsel:
     """A self-contained scan task a worker process can run from a pickle.
 
     Pages are materialized driver-side from the scan snapshot (the same
-    counter-free page-store lookup thread workers perform); SARGs arrive
+    counter-free page-store lookup thread tasks are handed); SARGs arrive
     value-bound — probe and correlation values were already evaluated on
     the driving thread, which is what the drivers' subquery-free
     eligibility guarantees is pure — and the matcher is recompiled in
@@ -313,45 +402,17 @@ class ScanMorsel:
 
 
 def run_scan_morsel(morsel: ScanMorsel) -> tuple[CostCounters, list[list]]:
-    """One process-pool task: decode, SARG-match, and chunk a morsel.
-
-    Mirrors the thread backend's ``_scan_partition`` exactly: private
-    counters, no buffer traffic (the driving thread replays fetches),
-    and matched rows chunked in the serial scan's page-aligned batch
-    quanta so RSI charges land identically.
-    """
-    counters = CostCounters()
-    count_rsi = counters.count_rsi_call
-    decode = DecodePlan(list(morsel.datatypes)).decode
-    matcher = compile_matcher(morsel.sargs, list(morsel.datatypes))
-    out_positions = morsel.out_positions
-    getter = None
-    if out_positions is not None:
-        if len(out_positions) == 1:
-            only = itemgetter(out_positions[0])
-
-            def single(values: tuple, _get=only) -> tuple:
-                return (_get(values),)
-
-            getter = single
-        else:
-            getter = itemgetter(*out_positions)
-    relation_id = morsel.relation_id
-    pages: list[list] = []
-    for page_id, page in morsel.pages:
-        rows = decode_page_rows(page_id, page, relation_id, decode)
-        if matcher is not None:
-            rows = [item for item in rows if matcher(item[1])]
-        chunks: list = []
-        for start in range(0, len(rows), DEFAULT_BATCH_SIZE):
-            chunk = rows[start : start + DEFAULT_BATCH_SIZE]
-            count_rsi(len(chunk))
-            if getter is not None:
-                chunks.append([getter(values) for __, values in chunk])
-            else:
-                chunks.append(chunk)
-        pages.append(chunks)
-    return counters, pages
+    """One process-pool task: compile the morsel's spec, run the kernel."""
+    datatypes = list(morsel.datatypes)
+    return scan_pages(
+        morsel.pages,
+        morsel.relation_id,
+        DecodePlan(datatypes).decode,
+        compile_matcher(morsel.sargs, datatypes),
+        raw_chunk
+        if morsel.out_positions is None
+        else columns_processor(morsel.out_positions),
+    )
 
 
 @dataclass(frozen=True)
@@ -387,39 +448,17 @@ def run_agg_morsel(
 ) -> tuple[CostCounters, int, list[tuple]]:
     """One process-pool task: fold a morsel into per-group partial states.
 
-    Returns ``(counters, page_count, runs)`` where ``runs`` lists
-    ``(key, states, tid, values)`` in first-occurrence order with
-    streaming (adjacency) group semantics — the gather merges a run into
-    its predecessor only when adjacent morsels share a boundary key, so
-    the reassembled group sequence is exactly the serial scan-order
-    fold's.
+    The gather merges a morsel's first run into its predecessor's last
+    only when they share a key, so the reassembled group sequence is
+    exactly the serial scan-order fold's.
     """
-    counters = CostCounters()
-    count_rsi = counters.count_rsi_call
-    decode = DecodePlan(list(morsel.datatypes)).decode
-    matcher = compile_matcher(morsel.sargs, list(morsel.datatypes))
-    relation_id = morsel.relation_id
-    key_positions = morsel.key_positions
-    arg_positions = morsel.arg_positions
-    calls = morsel.calls
-    runs: list[tuple] = []
-    current_key: object = None
-    states: list[_AggState] = []
-    saw_rows = False
-    for page_id, page in morsel.pages:
-        rows = decode_page_rows(page_id, page, relation_id, decode)
-        if matcher is not None:
-            rows = [item for item in rows if matcher(item[1])]
-        for start in range(0, len(rows), DEFAULT_BATCH_SIZE):
-            chunk = rows[start : start + DEFAULT_BATCH_SIZE]
-            count_rsi(len(chunk))
-            for tid, values in chunk:
-                key = tuple([values[p] for p in key_positions])
-                if not saw_rows or key != current_key:
-                    current_key = key
-                    states = [_AggState(call) for call in calls]
-                    runs.append((key, states, tid, values))
-                saw_rows = True
-                for state, position in zip(states, arg_positions):
-                    state.add(None if position is None else values[position])
-    return counters, len(morsel.pages), runs
+    datatypes = list(morsel.datatypes)
+    return fold_pages(
+        morsel.pages,
+        morsel.relation_id,
+        DecodePlan(datatypes).decode,
+        compile_matcher(morsel.sargs, datatypes),
+        morsel.key_positions,
+        morsel.arg_positions,
+        morsel.calls,
+    )

@@ -386,6 +386,10 @@ def run_hashjoin_bench(
 #: Worker count the morsel section models and measures at.
 MORSEL_WORKERS = 4
 
+#: Contiguous ranges per worker in the skew model's static-partitioning
+#: baseline (modelled from ``partition_ranges``, never executed).
+STATIC_PARTITIONS_PER_WORKER = 2
+
 
 @dataclass(frozen=True)
 class SkewCase:
@@ -667,12 +671,12 @@ def run_morsel_bench(
     quick: bool = False,
     echo: Callable[[str], None] = print,
 ) -> dict:
-    """The morsel gate: four scheduling legs plus skew/process models.
+    """The morsel gate: three scheduling legs plus skew/process models.
 
-    Every case runs fused, static-range parallel (``REPRO_SCHEDULE=
-    static``), morsel-thread, and morsel-process at 4 workers; counters,
-    row counts, and checksums must be bit-identical across all four legs
-    — that part is the hard gate and holds on any host.
+    Every case runs fused, morsel-thread, and morsel-process at 4
+    workers; counters, row counts, and checksums must be bit-identical
+    across all three legs — that part is the hard gate and holds on any
+    host.
 
     Wall-clock speedups from thread/process pools depend on the host's
     core count (CI runners are often single-core), so the headline skew
@@ -694,11 +698,6 @@ def run_morsel_bench(
     legs: dict[str, list[dict]] = {}
     leg_plans = [
         ("fused", {}, {"mode": "fused"}),
-        (
-            "static",
-            {"REPRO_SCHEDULE": "static"},
-            {"mode": "parallel", "workers": MORSEL_WORKERS},
-        ),
         ("morsel", {}, {"mode": "parallel", "workers": MORSEL_WORKERS}),
         (
             "process",
@@ -717,11 +716,11 @@ def run_morsel_bench(
                 f"rows {entry['rows']:>6d}  rsi {entry['rsi_calls']:>8d}"
             )
 
-    # The hard gate: all four legs agree on every counter, row count,
+    # The hard gate: all three legs agree on every counter, row count,
     # and checksum — scheduling must never change what the cost model sees.
     mismatches: list[str] = []
     reference = {entry["name"]: entry for entry in legs["fused"]}
-    for leg_name in ("static", "morsel", "process"):
+    for leg_name in ("morsel", "process"):
         for entry in legs[leg_name]:
             ref = reference[entry["name"]]
             identical = all(
@@ -734,12 +733,10 @@ def run_morsel_bench(
     # Skew model: measured per-range matched-row counts -> greedy makespans.
     from repro.engine.scheduler import (
         DEFAULT_MORSEL_PAGES,
-        STATIC_PARTITIONS_PER_WORKER,
         morsel_ranges,
         partition_ranges,
     )
 
-    static_by_name = {entry["name"]: entry for entry in legs["static"]}
     morsel_by_name = {entry["name"]: entry for entry in legs["morsel"]}
     skew_rows: list[dict] = []
     echo("  -- skew model (matched rows per range, greedy makespan)")
@@ -768,7 +765,6 @@ def run_morsel_bench(
                 "static_makespan": static_makespan,
                 "morsel_makespan": morsel_makespan,
                 "projected_speedup": round(projected, 3),
-                "measured_static_ms": static_by_name[spec.case.name]["mean_ms"],
                 "measured_morsel_ms": morsel_by_name[spec.case.name]["mean_ms"],
             }
         )
@@ -814,7 +810,7 @@ def run_morsel_bench(
     if mismatches:
         echo(f"  COUNTER MISMATCHES: {', '.join(mismatches)}")
     else:
-        echo("  counters identical across all four scheduling legs")
+        echo("  counters identical across all three scheduling legs")
 
     return {
         "version": REPORT_VERSION,
@@ -1153,9 +1149,9 @@ def main(argv: list[str] | None = None) -> int:
         "--morsel",
         action="store_true",
         help="run the skew/morsel-scheduling section instead: fused, "
-        "static-range, morsel-thread, and morsel-process legs at 4 "
-        "workers with a hard counter-identity gate; --gate bounds the "
-        "skew section's projected geomean over static ranges",
+        "morsel-thread, and morsel-process legs at 4 workers with a "
+        "hard counter-identity gate; --gate bounds the skew section's "
+        "modelled makespan geomean over static ranges",
     )
     parser.add_argument(
         "--profile",
@@ -1217,7 +1213,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.morsel:
         skew_specs, scanheavy_specs = morsel_cases(quick=args.quick)
         count = len(skew_specs) + len(scanheavy_specs)
-        print(f"repro bench --exec --morsel: {count} queries x 4 legs")
+        print(f"repro bench --exec --morsel: {count} queries x 3 legs")
         report = run_morsel_bench(repeats=args.repeats, quick=args.quick)
         output = Path(args.output)
         if args.output == DEFAULT_OUTPUT:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..engine.executor import Executor
 from ..errors import StorageError
 from ..rss.btree import BTree
 from ..rss.buffer import BufferPool
@@ -229,14 +228,9 @@ class Session:
             version, meta = db.storage.pin_snapshot()
             try:
                 planned = db.plan_query(statement)
-                executor = Executor(
-                    SnapshotStorage(db.storage, version, meta),
-                    db.catalog,
-                    db.subquery_cache_mode,
-                    exec_mode=db.exec_mode,
-                    workers=db.workers,
-                )
-                result = executor.execute(planned)
+                result = db.executor(
+                    SnapshotStorage(db.storage, version, meta)
+                ).execute(planned)
             finally:
                 db.storage.unpin(version)
         return StatementResult(

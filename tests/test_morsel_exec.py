@@ -29,10 +29,7 @@ from repro.engine.scheduler import (
     get_backend,
     morsel_pages,
     morsel_ranges,
-    partition_ranges,
     resolve_backend,
-    resolve_schedule,
-    scan_ranges,
     shutdown_backends,
 )
 from repro.workloads import build_empdept
@@ -91,15 +88,6 @@ def test_morsel_sizes_and_backends_agree_with_fused(
     bit-identical to fused — the gather replays the serial trace."""
     monkeypatch.setenv("REPRO_MORSEL_PAGES", str(pages))
     parallel_db.backend = backend
-    for sql in MORSEL_QUERIES:
-        expected = _cold_run(fused_db, sql)
-        assert _cold_run(parallel_db, sql) == expected, sql
-
-
-def test_static_schedule_agrees_with_fused(monkeypatch, fused_db, parallel_db):
-    """``REPRO_SCHEDULE=static`` (the bench baseline) is equally exact."""
-    monkeypatch.setenv("REPRO_SCHEDULE", "static")
-    parallel_db.backend = "thread"
     for sql in MORSEL_QUERIES:
         expected = _cold_run(fused_db, sql)
         assert _cold_run(parallel_db, sql) == expected, sql
@@ -259,12 +247,6 @@ def test_morsel_pages_defaults_without_env(monkeypatch):
     assert morsel_pages() == DEFAULT_MORSEL_PAGES
 
 
-def test_unknown_schedule_fails_loudly(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULE", "chaotic")
-    with pytest.raises(ValueError, match="valid schedules"):
-        resolve_schedule()
-
-
 @pytest.mark.parametrize("count", (0, 1, 5, 17, 64))
 @pytest.mark.parametrize("pages", (1, 3, 8))
 def test_morsel_ranges_cover_every_page_once(count, pages):
@@ -274,12 +256,107 @@ def test_morsel_ranges_cover_every_page_once(count, pages):
     assert all(hi - lo <= pages for lo, hi in ranges)
 
 
-def test_scan_ranges_honours_the_schedule(monkeypatch):
-    monkeypatch.delenv("REPRO_MORSEL_PAGES", raising=False)
-    monkeypatch.setenv("REPRO_SCHEDULE", "static")
-    assert scan_ranges(64, 4) == partition_ranges(64, 8)
-    monkeypatch.setenv("REPRO_SCHEDULE", "morsel")
-    assert scan_ranges(64, 4) == morsel_ranges(64, DEFAULT_MORSEL_PAGES)
+# ---------------------------------------------------------------------------
+# the kernel seam: one page loop behind every scheduler
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sql,sarg,positions",
+    [
+        ("SELECT B, A FROM T WHERE A < 5", (0, "<", 5), (1, 0)),
+        ("SELECT B FROM T", None, (1,)),
+        ("SELECT A FROM T WHERE A = 99", (0, "=", 99), (0,)),
+    ],
+)
+def test_every_scheduler_runs_the_same_scan_kernel(
+    agg_pair, sql, sarg, positions
+):
+    """Same pages + SARGs + processor through the kernel directly, the
+    serial fused driver, the thread backend, and ``run_scan_morsel`` on
+    the process backend: identical RSI charges and identical chunks."""
+    from functools import partial
+
+    from repro.engine.executor import Runtime, _context_for
+    from repro.engine.fuse import _output_program
+    from repro.engine.scheduler import (
+        ScanMorsel,
+        columns_processor,
+        run_scan_morsel,
+        scan_pages,
+    )
+    from repro.rss.sargs import (
+        CompareOp,
+        ConjunctiveSargs,
+        SargPredicate,
+        Sargs,
+        compile_matcher,
+    )
+    from repro.rss.tuples import DecodePlan
+
+    db, __ = agg_pair
+    table = db.catalog.table("T")
+    datatypes = [column.datatype for column in table.columns]
+    sargs = None
+    if sarg is not None:
+        position, op, value = sarg
+        sargs = ConjunctiveSargs(
+            [Sargs([[SargPredicate(position, CompareOp(op), value)]])]
+        )
+    snapshot = db.storage.scan_snapshot(table)
+    page_count = len(snapshot.page_ids)
+    assert page_count > 2 * 3, "need several morsels"
+
+    def flatten(counters, pages):
+        chunks = [chunk for page in pages for chunk in page if chunk]
+        return counters.rsi_calls, chunks
+
+    counters, pages = scan_pages(
+        snapshot.freeze_range(0, page_count),
+        snapshot.relation_id,
+        DecodePlan(datatypes).decode,
+        compile_matcher(sargs, datatypes),
+        columns_processor(positions),
+    )
+    assert counters.page_fetches == 0, "the kernel never touches the buffer"
+    expected = flatten(counters, pages)
+
+    tasks = [
+        partial(
+            run_scan_morsel,
+            ScanMorsel(
+                snapshot.freeze_range(lo, hi),
+                snapshot.relation_id,
+                tuple(datatypes),
+                sargs,
+                positions,
+            ),
+        )
+        for lo, hi in morsel_ranges(page_count, 3)
+    ]
+    merged, shipped = type(counters)(), []
+    for morsel_counters, morsel_out in get_backend(2, "process").imap(tasks):
+        merged.merge(morsel_counters)
+        shipped.extend(morsel_out)
+    assert flatten(merged, shipped) == expected
+
+    planned = db.plan(sql)
+    for mode, backend in (
+        ("fused", "thread"),
+        ("parallel", "thread"),
+        ("parallel", "process"),
+    ):
+        runtime = Runtime(
+            db.storage, db.catalog, planned,
+            exec_mode=mode, workers=2, backend=backend,
+        )
+        ctx = _context_for(runtime, planned)
+        db.storage.cold_cache()
+        before = db.counters.snapshot()
+        chunks = list(_output_program(planned.root, ctx)(ctx, None))
+        delta = before.delta(db.counters)
+        assert (delta.rsi_calls, chunks) == expected, (mode, backend)
+        assert delta.page_fetches == page_count, (mode, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +468,17 @@ def test_agg_state_merge_matches_serial_fold():
                     )
 
 
-def test_run_agg_morsel_emits_runs_in_first_occurrence_order():
-    """The worker fold keeps streaming (adjacency) group semantics."""
-    from repro.engine.scheduler import AggCallSpec, AggMorsel, run_agg_morsel
+@pytest.mark.parametrize("path", ("process", "thread"))
+def test_run_agg_morsel_emits_runs_in_first_occurrence_order(path):
+    """The worker fold keeps streaming (adjacency) group semantics, as a
+    pickled ``AggMorsel`` and as the thread backend's direct kernel call."""
+    from repro.engine.scheduler import (
+        AggCallSpec,
+        AggMorsel,
+        fold_pages,
+        run_agg_morsel,
+    )
+    from repro.rss.tuples import DecodePlan
 
     db = Database()
     db.execute("CREATE TABLE G (K INTEGER, V INTEGER)")
@@ -402,19 +487,34 @@ def test_run_agg_morsel_emits_runs_in_first_occurrence_order():
     db.execute("UPDATE STATISTICS")
     table = db.catalog.table("G")
     snapshot = db.storage.scan_snapshot(table)
-    morsel = AggMorsel(
-        pages=snapshot.freeze_range(0, len(snapshot.page_ids)),
-        relation_id=snapshot.relation_id,
-        datatypes=tuple(column.datatype for column in table.columns),
-        sargs=None,
-        key_positions=(0,),
-        arg_positions=(None, 1),
-        calls=(
-            AggCallSpec("COUNT", None, False),
-            AggCallSpec("SUM", 1, False),
-        ),
+    pages = snapshot.freeze_range(0, len(snapshot.page_ids))
+    datatypes = tuple(column.datatype for column in table.columns)
+    calls = (
+        AggCallSpec("COUNT", None, False),
+        AggCallSpec("SUM", 1, False),
     )
-    counters, page_count, runs = run_agg_morsel(morsel)
+    if path == "process":
+        counters, page_count, runs = run_agg_morsel(
+            AggMorsel(
+                pages=pages,
+                relation_id=snapshot.relation_id,
+                datatypes=datatypes,
+                sargs=None,
+                key_positions=(0,),
+                arg_positions=(None, 1),
+                calls=calls,
+            )
+        )
+    else:
+        counters, page_count, runs = fold_pages(
+            pages,
+            snapshot.relation_id,
+            DecodePlan(list(datatypes)).decode,
+            None,
+            (0,),
+            (None, 1),
+            calls,
+        )
     assert page_count == len(snapshot.page_ids)
     # Streaming semantics: key 1 reappearing after 3 opens a new run.
     assert [key for key, __, ___, ____ in runs] == [(1,), (2,), (3,), (1,)]

@@ -175,6 +175,16 @@ def test_database_rejects_nonpositive_workers():
         Database(exec_mode="parallel", workers=0)
 
 
+@pytest.mark.parametrize("mode", ("fuzed", "parallel:0", "fused:2"))
+def test_database_rejects_bad_exec_mode_at_construction(monkeypatch, mode):
+    """A mode typo fails before any INSERT can commit, like ``workers``
+    and ``backend`` — not at the first SELECT."""
+    monkeypatch.delenv("REPRO_EXEC", raising=False)
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    with pytest.raises(ValueError):
+        Database(exec_mode=mode)
+
+
 def test_dml_executes_under_parallel_mode():
     """UPDATE/DELETE target rows are collected by parallel scans and fully
     materialized before any page mutates."""
