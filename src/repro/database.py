@@ -3,7 +3,10 @@
 ``Database`` owns the catalog, the storage engine, the optimizer
 configuration, and the executor, and processes SQL statements through the
 paper's four phases — parsing, optimization, (interpreted) code generation,
-and execution::
+and execution — in one statement pipeline shared with its sessions: a
+SELECT reads the last committed version, pinned for the statement (also
+from a thread that holds an open ``storage.atomic()`` block), and every
+other statement commits through the group-commit coordinator::
 
     db = Database()
     db.execute("CREATE TABLE EMP (ENO INTEGER, NAME VARCHAR(20), DNO INTEGER)")
@@ -36,7 +39,7 @@ from .rss.buffer import DEFAULT_BUFFER_PAGES
 from .rss.storage import StorageEngine
 from .serving.coordinator import GroupCommitCoordinator
 from .serving.locks import DEFAULT_COMMIT_TIMEOUT, RWLatch
-from .serving.session import Session
+from .serving.session import Session, SnapshotStorage
 from .sql import ast, parse_statement
 
 
@@ -79,7 +82,6 @@ class Database:
         backend: str | None = None,
         path: str | None = None,
         commit_timeout: float = DEFAULT_COMMIT_TIMEOUT,
-        group_commit: bool = True,
     ):
         #: ``path`` opts into durability: statements commit to a
         #: shadow-paged backing file, and re-opening the same path recovers
@@ -119,13 +121,11 @@ class Database:
         #: Every write statement — from any session or thread — funnels
         #: through this coordinator: one commit lock, batched page-table
         #: flips, ``DatabaseBusyError`` after ``commit_timeout`` seconds of
-        #: contention.  ``group_commit=False`` keeps the pipeline but
-        #: degrades each batch to one flip per statement.
+        #: contention.
         self._coordinator = GroupCommitCoordinator(
-            self.storage, timeout=commit_timeout, group_commit=group_commit
+            self.storage, timeout=commit_timeout
         )
-        self._session_lock = threading.Lock()
-        self._sessions: set[Session] = set()  # concurrency: lock-guarded
+        self._close_lock = threading.Lock()
         self._closed = False  # concurrency: lock-guarded
 
     # -- configuration ------------------------------------------------------------
@@ -150,8 +150,10 @@ class Database:
     def executor(self, storage=None) -> Executor:
         """A fresh executor carrying this database's execution settings.
 
-        ``storage`` defaults to the live engine; a session passes the
-        :class:`~repro.serving.session.SnapshotStorage` of its pin.
+        ``storage`` defaults to the live engine, which a write statement
+        reads its own target rows through inside its batch; a SELECT
+        passes the :class:`~repro.serving.session.SnapshotStorage` of its
+        pin.
         """
         return Executor(
             self.storage if storage is None else storage,
@@ -171,18 +173,15 @@ class Database:
         self.storage.cold_cache()
 
     def close(self) -> None:
-        """Close every open session and release the backing file.
+        """Release the backing file; the database and its sessions refuse
+        every later statement.
 
         Idempotent: closing an already-closed database is a no-op.
         """
-        with self._session_lock:
+        with self._close_lock:
             if self._closed:
                 return
             self._closed = True
-            sessions = list(self._sessions)
-            self._sessions.clear()
-        for session in sessions:
-            session.close()
         self.storage.close()
         # Worker pools are process-wide (shared across Database instances
         # by design — they hold no per-database state), so closing the
@@ -203,19 +202,11 @@ class Database:
         """Open a client session (snapshot-isolated reads, queued writes).
 
         One session per client thread; close it (or use it as a context
-        manager) when the client is done.  :meth:`close` closes any
-        sessions still open.
+        manager) when the client is done.
         """
         if self._closed:
             raise StorageError("database is closed")
-        session = Session(self, name)
-        with self._session_lock:
-            self._sessions.add(session)
-        return session
-
-    def _forget_session(self, session: Session) -> None:
-        with self._session_lock:
-            self._sessions.discard(session)
+        return Session(self, name)
 
     # -- statement processing ---------------------------------------------------------
 
@@ -225,20 +216,11 @@ class Database:
         return self.execute_statement(statement)
 
     def execute_statement(self, statement: ast.Statement) -> StatementResult:
-        """Dispatch an already-parsed statement to DDL, DML, or the optimizer."""
-        if isinstance(statement, ast.SelectQuery):
-            planned = self.plan_query(statement)
-            result = self._run(planned)
-            return StatementResult(
-                statement_type="SELECT",
-                columns=result.columns,
-                rows=result.rows,
-                affected_rows=len(result.rows),
-            )
-        return self._execute_write(statement)
+        """Execute an already-parsed statement."""
+        return self._execute(statement)
 
     #: Statements that take the schema latch exclusively; everything else
-    #: (DML) shares it with concurrent readers.
+    #: (reads and DML) shares it.
     _EXCLUSIVE_STATEMENTS = (
         ast.CreateTableStmt,
         ast.CreateIndexStmt,
@@ -247,14 +229,37 @@ class Database:
         ast.UpdateStatisticsStmt,
     )
 
-    def _execute_write(self, statement: ast.Statement) -> StatementResult:
-        """Run one write statement through the group-commit pipeline.
+    def _execute(self, statement: ast.Statement) -> StatementResult:
+        """The one statement pipeline, shared by this class and its sessions.
 
-        The submitter holds the schema latch for the statement's whole
-        trip through the queue, so DDL only ever commits alone (its
-        exclusive latch has drained every other writer first) and DML
-        batches never contain a schema change.
+        A SELECT holds the schema latch shared — the catalog and the
+        planner's statistics stay stable for the whole statement — and
+        runs against the version it pins; DML proceeds concurrently, since
+        page stability comes from the pin, not the latch.  Any other
+        statement goes through the group-commit coordinator, its submitter
+        holding the latch for the statement's whole trip through the
+        queue, so DDL only ever commits alone (its exclusive latch has
+        drained every other writer first) and DML batches never contain a
+        schema change.
         """
+        if self._closed:
+            raise StorageError("database is closed")
+        if isinstance(statement, ast.SelectQuery):
+            with self.ddl_latch.shared():
+                version, meta = self.storage.pin_snapshot()
+                try:
+                    result = self.executor(
+                        SnapshotStorage(self.storage, version, meta)
+                    ).execute(self.plan_query(statement))
+                finally:
+                    self.storage.unpin(version)
+            return StatementResult(
+                statement_type="SELECT",
+                columns=result.columns,
+                rows=result.rows,
+                affected_rows=len(result.rows),
+                snapshot_version=version,
+            )
         latch = (
             self.ddl_latch.exclusive()
             if isinstance(statement, self._EXCLUSIVE_STATEMENTS)
@@ -316,7 +321,7 @@ class Database:
 
     def update_statistics(self, table_name: str | None = None) -> None:
         """Programmatic UPDATE STATISTICS (one table, or all)."""
-        collect_statistics(self.catalog, self.storage, table_name)
+        self._execute(ast.UpdateStatisticsStmt(table_name))
 
     # -- DDL ----------------------------------------------------------------------------
 
@@ -390,7 +395,9 @@ class Database:
         if statement.source is not None:
             # INSERT ... SELECT: run the query first, then load its rows
             # (materialized, so inserting into the scanned table is safe).
-            source_rows = self._run(self.plan_query(statement.source)).rows
+            source_rows = (
+                self.executor().execute(self.plan_query(statement.source)).rows
+            )
         else:
             source_rows = [
                 tuple(_constant_value(expr) for expr in row_exprs)
@@ -478,13 +485,6 @@ class Database:
         )
         block = binder.bind(pseudo)
         return block.select_exprs[0]
-
-    # -- internals -----------------------------------------------------------------------
-
-    def _run(self, planned: PlannedStatement) -> QueryResult:
-        executor = self.executor()
-        self.last_executor = executor
-        return executor.execute(planned)
 
 
 def _constant_value(expr: ast.Expr) -> object:

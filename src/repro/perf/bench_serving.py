@@ -1,15 +1,14 @@
 """``repro bench --serving`` — concurrent-serving throughput.
 
 Sweeps the stress harness's mixed read/write workload over a grid of
-client counts, once with group commit batching page-table flips and once
-with every statement flipping alone, against a durable database.  Each
-cell reuses :func:`repro.serving.stress.run_stress`, so a cell only
-counts if its snapshot-isolation invariants verified clean — a benchmark
-number from a run that broke isolation would be meaningless.
+client counts against a durable database, group commit batching the
+page-table flips.  Each cell reuses
+:func:`repro.serving.stress.run_stress`, so a cell only counts if its
+snapshot-isolation invariants verified clean — a benchmark number from a
+run that broke isolation would be meaningless.
 
 The report (``BENCH_serving.json``) records per-cell throughput so the
-group-commit speedup under write contention is a committed, comparable
-artifact.
+scaling under write contention is a committed, comparable artifact.
 """
 
 from __future__ import annotations
@@ -34,35 +33,29 @@ def run_grid(
     cells = []
     with tempfile.TemporaryDirectory(prefix="repro-bench-serving-") as scratch:
         for clients in client_counts:
-            for group_commit in (True, False):
-                label = f"c{clients}-{'gc' if group_commit else 'solo'}"
-                cell_dir = os.path.join(scratch, label)
-                os.makedirs(cell_dir)
-                report = run_stress(
-                    os.path.join(cell_dir, "bench.pages"),
-                    clients=clients,
-                    statements=statements,
-                    seed=seed,
-                    group_commit=group_commit,
-                )
-                throughput = (
-                    report.outcomes / report.elapsed
-                    if report.elapsed > 0
-                    else 0.0
-                )
-                cells.append(
-                    {
-                        "clients": clients,
-                        "group_commit": group_commit,
-                        "statements": report.statements,
-                        "outcomes": report.outcomes,
-                        "committed": report.committed,
-                        "busy_timeouts": report.busy_timeouts,
-                        "elapsed_s": round(report.elapsed, 4),
-                        "throughput_stmt_s": round(throughput, 1),
-                        "isolation_ok": report.ok,
-                    }
-                )
+            cell_dir = os.path.join(scratch, f"c{clients}")
+            os.makedirs(cell_dir)
+            report = run_stress(
+                os.path.join(cell_dir, "bench.pages"),
+                clients=clients,
+                statements=statements,
+                seed=seed,
+            )
+            throughput = (
+                report.outcomes / report.elapsed if report.elapsed > 0 else 0.0
+            )
+            cells.append(
+                {
+                    "clients": clients,
+                    "statements": report.statements,
+                    "outcomes": report.outcomes,
+                    "committed": report.committed,
+                    "busy_timeouts": report.busy_timeouts,
+                    "elapsed_s": round(report.elapsed, 4),
+                    "throughput_stmt_s": round(throughput, 1),
+                    "isolation_ok": report.ok,
+                }
+            )
     return {
         "benchmark": "serving",
         "workload": {
@@ -77,13 +70,11 @@ def run_grid(
 
 def render(report: dict) -> str:
     lines = [
-        f"{'clients':>7}  {'group commit':>12}  {'stmt/s':>8}  "
-        f"{'committed':>9}  {'busy':>5}  isolation"
+        f"{'clients':>7}  {'stmt/s':>8}  {'committed':>9}  {'busy':>5}  isolation"
     ]
     for cell in report["cells"]:
         lines.append(
             f"{cell['clients']:>7}  "
-            f"{'on' if cell['group_commit'] else 'off':>12}  "
             f"{cell['throughput_stmt_s']:>8.1f}  {cell['committed']:>9}  "
             f"{cell['busy_timeouts']:>5}  "
             f"{'ok' if cell['isolation_ok'] else 'VIOLATED'}"
@@ -95,8 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     """``repro bench --serving [--quick] [--output PATH]``."""
     parser = argparse.ArgumentParser(
         prog="repro bench --serving",
-        description="benchmark concurrent serving throughput vs client "
-        "count, group commit on and off",
+        description="benchmark concurrent serving throughput vs client count",
     )
     parser.add_argument(
         "--quick",

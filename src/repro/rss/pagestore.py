@@ -261,9 +261,9 @@ class PageStore:
         frame = self._frames[-1]
         if page_id in frame.undo:
             return obj
-        # One trip per page per frame — for the single-frame transactions of
-        # the classic statement path this is exactly the historical "first
-        # mutation of each page per transaction" sequence.
+        # One trip per page per frame — for the single-frame transaction of
+        # a top-level ``atomic()`` that is the first mutation of each page
+        # per transaction.
         get_injector().trip(FP_PAGE_MUTATE)
         clone = getattr(obj, "clone", None)
         if clone is None:

@@ -94,7 +94,84 @@ class CommittedMeta:
     indexes: dict[str, tuple]
 
 
-class StorageEngine:
+class ScanSurface:
+    """The RSI read surface the executor consumes, written once.
+
+    The live :class:`StorageEngine` and the pinned
+    :class:`~repro.serving.session.SnapshotStorage` both inherit it; each
+    supplies ``counters``, ``buffer``, ``store`` and the ``segment(name)``
+    / ``btree(index_name)`` lookups these constructors resolve through.
+    """
+
+    def segment_scan(
+        self,
+        table: TableDef,
+        sargs: "Sargs | ConjunctiveSargs | None" = None,
+        matcher: Callable[[tuple], bool] | None = None,
+        decode_plan: DecodePlan | None = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        decode_cache: dict | None = None,
+    ) -> SegmentScan:
+        """An RSI segment scan over one relation."""
+        return SegmentScan(
+            self.segment(table.segment_name),
+            table.relation_id,
+            self._datatypes(table),
+            self.buffer,
+            self.counters,
+            sargs,
+            matcher=matcher,
+            decode_plan=decode_plan,
+            batch_size=batch_size,
+            decode_cache=decode_cache,
+        )
+
+    def scan_snapshot(self, table: TableDef) -> ScanSnapshot:
+        """A frozen page list plus direct page-store access for workers."""
+        return ScanSnapshot(
+            page_ids=tuple(self.segment(table.segment_name).page_ids),
+            relation_id=table.relation_id,
+            get_page=self.store.get,
+        )
+
+    def index_scan(
+        self,
+        index: IndexDef,
+        table: TableDef,
+        low: tuple | None = None,
+        high: tuple | None = None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+        sargs: "Sargs | ConjunctiveSargs | None" = None,
+        matcher: Callable[[tuple], bool] | None = None,
+        decode_plan: DecodePlan | None = None,
+        batch_size: int = 1,
+        decode_cache: dict | None = None,
+    ) -> IndexScan:
+        """An RSI index scan with optional key bounds and SARGs."""
+        return IndexScan(
+            self.btree(index.name),
+            self.segment(table.segment_name),
+            table.relation_id,
+            self._datatypes(table),
+            self.buffer,
+            self.counters,
+            low,
+            high,
+            low_inclusive,
+            high_inclusive,
+            sargs,
+            matcher=matcher,
+            decode_plan=decode_plan,
+            batch_size=batch_size,
+            decode_cache=decode_cache,
+        )
+
+    def _datatypes(self, table: TableDef) -> list[DataType]:
+        return [column.datatype for column in table.columns]
+
+
+class StorageEngine(ScanSurface):
     """Physical storage for a database instance."""
 
     def __init__(
@@ -112,8 +189,7 @@ class StorageEngine:
         self.catalog: object | None = None
         #: Catalog recovered from the backing file, if any.
         self.recovered_catalog: object | None = None
-        self._in_tx = False
-        self._batch = False  # concurrency: driver-confined
+        #: Undo metadata of the open transaction; ``None`` when none is.
         self._batch_meta = None  # concurrency: driver-confined
         self._crashed = False  # concurrency: driver-confined
         #: Guards re-publication of the frozen committed-metadata snapshot.
@@ -156,68 +232,57 @@ class StorageEngine:
     # -- statement micro-transactions -----------------------------------------
 
     @contextmanager
-    def atomic(self):
-        """Scope one statement: commit all of its effects, or none.
+    def _undo_on_error(self, undo: Callable[[], None]):
+        """The engine's one rollback/crash ladder.
 
-        Re-entrant — a nested ``atomic`` joins the enclosing statement.  On
-        any exception the page store's shadow copies are restored, pages
-        allocated by the statement vanish, and segment/index metadata
-        reverts, leaving the store exactly as before the statement.  A
-        :class:`SimulatedCrash` skips rollback (the "process" is gone); the
-        durable state was snapshotted by the fault injector at raise time.
+        Any exception out of the block runs ``undo`` and propagates.  A
+        :class:`SimulatedCrash` instead poisons the engine without rolling
+        anything back (the "process" is gone); the durable state was
+        snapshotted by the fault injector at raise time.
         """
-        if self._in_tx:
-            yield
-            return
-        if self._crashed:
-            raise StorageError(
-                "storage engine crashed (simulated); re-open it from disk"
-            )
-        self._in_tx = True
-        meta = self._snapshot_meta()
-        self.store.begin()
         try:
             yield
         except SimulatedCrash:
             self._crashed = True
+            self._batch_meta = None
             raise
         except BaseException:
-            self.store.rollback(self.buffer)
-            self._restore_meta(meta)
+            undo()
             raise
-        else:
-            try:
-                blob = (
-                    self._meta_blob() if self.store.disk is not None else None
-                )
-                self.store.commit(blob, publish=self._publish_meta)
-            except SimulatedCrash:
-                self._crashed = True
-                raise
-            except BaseException:
-                self.store.rollback(self.buffer)
-                self._restore_meta(meta)
-                raise
-        finally:
-            self._in_tx = False
 
-    # -- group-commit batches ---------------------------------------------------
+    @contextmanager
+    def atomic(self):
+        """Scope one statement: commit all of its effects, or none.
+
+        Re-entrant — a nested ``atomic`` joins the enclosing statement or
+        batch.  A top-level scope is a batch of one statement (its
+        savepoint would coincide with the batch start, so the batch undo
+        is the statement undo): on any exception the page store's shadow
+        copies are restored, pages allocated by the statement vanish, and
+        segment/index metadata reverts, leaving the store exactly as
+        before the statement.
+        """
+        if self._batch_meta is not None:
+            yield
+            return
+        self.begin_batch()
+        with self._undo_on_error(self.abort_batch):
+            yield
+        self.commit_batch()
 
     def begin_batch(self) -> None:
-        """Open a multi-statement transaction for one group-commit batch.
+        """Open a transaction: one statement, or one group-commit batch.
 
         Individual statements are bracketed with :meth:`statement`; the
         batch lands with :meth:`commit_batch` (one page-table flip) or is
         discarded whole with :meth:`abort_batch`.
         """
-        if self._in_tx:
+        if self._batch_meta is not None:
             raise StorageError("a statement transaction is already open")
         if self._crashed:
             raise StorageError(
                 "storage engine crashed (simulated); re-open it from disk"
             )
-        self._in_tx = True
-        self._batch = True
         self._batch_meta = self._snapshot_meta()
         self.store.begin()
 
@@ -226,23 +291,19 @@ class StorageEngine:
         """Bracket one statement inside an open batch with a savepoint.
 
         A failing statement rolls back to its savepoint — page effects and
-        segment/index metadata alike — leaving its batch peers intact.  A
-        :class:`SimulatedCrash` poisons the whole engine, as in
-        :meth:`atomic`.
+        segment/index metadata alike — leaving its batch peers intact.
         """
-        if not self._batch:
+        if self._batch_meta is None:
             raise StorageError("no open batch for a statement")
         token = self.store.savepoint()
         meta = self._snapshot_meta()
-        try:
-            yield
-        except SimulatedCrash:
-            self._crashed = True
-            raise
-        except BaseException:
+
+        def undo() -> None:
             self.store.rollback_to(token, self.buffer)
             self._restore_meta(meta)
-            raise
+
+        with self._undo_on_error(undo):
+            yield
 
     def commit_batch(self) -> int:
         """Flip every surviving statement of the batch in one durable commit.
@@ -251,34 +312,23 @@ class StorageEngine:
         rolls back (all-or-nothing) and the original exception propagates —
         the caller translates it into per-participant outcomes.
         """
-        if not self._batch:
+        if self._batch_meta is None:
             raise StorageError("no open batch to commit")
-        try:
+        with self._undo_on_error(self.abort_batch):
             get_injector().trip(FP_GROUP_COMMIT_BEFORE_FLIP)
             blob = self._meta_blob() if self.store.disk is not None else None
-            return self.store.commit(blob, publish=self._publish_meta)
-        except SimulatedCrash:
-            self._crashed = True
-            raise
-        except BaseException:
-            self.store.rollback(self.buffer)
-            self._restore_meta(self._batch_meta)
-            raise
-        finally:
-            self._in_tx = False
-            self._batch = False
-            self._batch_meta = None
+            version = self.store.commit(blob, publish=self._publish_meta)
+        self._batch_meta = None
+        return version
 
     def abort_batch(self) -> None:
         """Discard the open batch entirely (no commit, no version bump)."""
-        if not self._batch:
+        if self._batch_meta is None:
             raise StorageError("no open batch to abort")
         try:
             self.store.rollback(self.buffer)
             self._restore_meta(self._batch_meta)
         finally:
-            self._in_tx = False
-            self._batch = False
             self._batch_meta = None
 
     # -- snapshot pins ----------------------------------------------------------
@@ -523,72 +573,6 @@ class StorageEngine:
                 for index in all_indexes:
                     self.btree(index.name).insert(index.key_of(values), tid)
 
-    # -- scans ------------------------------------------------------------------
-
-    def segment_scan(
-        self,
-        table: TableDef,
-        sargs: "Sargs | ConjunctiveSargs | None" = None,
-        matcher: Callable[[tuple], bool] | None = None,
-        decode_plan: DecodePlan | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        decode_cache: dict | None = None,
-    ) -> SegmentScan:
-        """An RSI segment scan over one relation."""
-        return SegmentScan(
-            self.segment(table.segment_name),
-            table.relation_id,
-            self._datatypes(table),
-            self.buffer,
-            self.counters,
-            sargs,
-            matcher=matcher,
-            decode_plan=decode_plan,
-            batch_size=batch_size,
-            decode_cache=decode_cache,
-        )
-
-    def scan_snapshot(self, table: TableDef) -> ScanSnapshot:
-        """A frozen page list plus direct page-store access for workers."""
-        return ScanSnapshot(
-            page_ids=tuple(self.segment(table.segment_name).page_ids),
-            relation_id=table.relation_id,
-            get_page=self.store.get,
-        )
-
-    def index_scan(
-        self,
-        index: IndexDef,
-        table: TableDef,
-        low: tuple | None = None,
-        high: tuple | None = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-        sargs: "Sargs | ConjunctiveSargs | None" = None,
-        matcher: Callable[[tuple], bool] | None = None,
-        decode_plan: DecodePlan | None = None,
-        batch_size: int = 1,
-        decode_cache: dict | None = None,
-    ) -> IndexScan:
-        """An RSI index scan with optional key bounds and SARGs."""
-        return IndexScan(
-            self.btree(index.name),
-            self.segment(table.segment_name),
-            table.relation_id,
-            self._datatypes(table),
-            self.buffer,
-            self.counters,
-            low,
-            high,
-            low_inclusive,
-            high_inclusive,
-            sargs,
-            matcher=matcher,
-            decode_plan=decode_plan,
-            batch_size=batch_size,
-            decode_cache=decode_cache,
-        )
-
     # -- measurement helpers -------------------------------------------------------
 
     @contextmanager
@@ -605,9 +589,6 @@ class StorageEngine:
         self.buffer.clear()
 
     # -- internals ---------------------------------------------------------------
-
-    def _datatypes(self, table: TableDef) -> list[DataType]:
-        return [column.datatype for column in table.columns]
 
     def _raw_scan(self, table: TableDef):
         return iter(

@@ -1,9 +1,10 @@
 """The concurrent serving layer: sessions, snapshot reads, group commit.
 
 Shadow paging (PR 4) already produces an immutable page-table version per
-commit; this package exploits it.  A :class:`~repro.serving.session.Session`
-pins the committed version current at each read statement's start and scans
-a frozen view of it while writers prepare the next flip; writers serialize
+commit; this package exploits it.  Every SELECT — through a
+:class:`~repro.serving.session.Session` or straight through the database —
+pins the committed version current at its start and scans a frozen view of
+it while writers prepare the next flip; writers serialize
 through a single commit lock (bounded exponential backoff, typed
 :class:`~repro.errors.DatabaseBusyError` on timeout) and the
 :class:`~repro.serving.coordinator.GroupCommitCoordinator` batches

@@ -18,7 +18,8 @@ Outcome rules:
 - A statement that raises rolls back to its savepoint alone; its peers
   commit.  The statement's own exception is its outcome.
 - A failed batch commit rolls everything back.  A solo statement receives
-  the original commit error (exactly the classic ``atomic()`` semantics);
+  the original commit error (exactly what a top-level
+  :meth:`~repro.rss.storage.StorageEngine.atomic` block raises);
   a multi-statement batch receives :class:`CommitAbortedError` per
   participant with the underlying failure as ``__cause__``.
 - A :class:`~repro.errors.SimulatedCrash` poisons the engine: every
@@ -83,7 +84,6 @@ class GroupCommitCoordinator:
         self,
         engine,
         timeout: float = DEFAULT_COMMIT_TIMEOUT,
-        group_commit: bool = True,
         initial_backoff: float = DEFAULT_INITIAL_BACKOFF,
         max_backoff: float = DEFAULT_MAX_BACKOFF,
     ):
@@ -91,9 +91,6 @@ class GroupCommitCoordinator:
         self._commit_lock = CommitLock(timeout, initial_backoff, max_backoff)
         self._queue_lock = threading.Lock()
         self._queue: deque[_Ticket] = deque()  # concurrency: lock-guarded
-        #: ``False`` degrades every batch to one-commit-per-statement (for
-        #: benchmarking the amortization, and for bisecting failures).
-        self.group_commit = group_commit
         self._stats_lock = threading.Lock()
         self.batches_committed = 0  # concurrency: lock-guarded
         self.statements_committed = 0  # concurrency: lock-guarded
@@ -157,13 +154,8 @@ class GroupCommitCoordinator:
             self._queue.clear()
             for ticket in batch:
                 ticket.pending = False
-        if not batch:
-            return
-        if self.group_commit:
+        if batch:
             self._run_batch(batch)
-        else:
-            for ticket in batch:
-                self._run_batch([ticket])
 
     def _run_batch(self, tickets: list[_Ticket]) -> None:
         engine = self._engine
@@ -206,8 +198,7 @@ class GroupCommitCoordinator:
             return
         except BaseException as error:
             if len(tickets) == 1:
-                # Solo statement: classic atomic() semantics — rolled back,
-                # original exception.
+                # Solo statement: rolled back, original exception.
                 survivors[0][0].fail(error)
             else:
                 for ticket, __ in survivors:

@@ -1,87 +1,42 @@
-"""Snapshot-isolated sessions over a :class:`~repro.database.Database`.
+"""Client sessions and the pinned storage view their reads run against.
 
-Each read statement pins the page-table version current at statement start
-(:meth:`~repro.rss.storage.StorageEngine.pin_snapshot`) and executes
-against a :class:`SnapshotStorage`: a storage-engine facade whose page
-reads resolve *as of* the pinned version while a writer prepares the next
-flip.  Writers mutate private clones (copy-on-write in
+Every SELECT — from a :class:`Session` or straight from the
+:class:`~repro.database.Database` — pins the page-table version current at
+statement start (:meth:`~repro.rss.storage.StorageEngine.pin_snapshot`)
+and executes against a :class:`SnapshotStorage`, whose page reads resolve
+*as of* the pinned version while a writer prepares the next flip.  Writers
+mutate private clones (copy-on-write in
 :meth:`~repro.rss.pagestore.PageStore.prepare_write`), so the committed
 objects a snapshot resolves to are immutable and can be read without
 locks.  Buffer accounting flows into the shared pool
 (:meth:`~repro.rss.buffer.BufferPool.note_fetch`), which keeps a
-fault-free single-session run's cost counters bit-identical to the
-classic engine path in every exec mode.
+fault-free single-client run's cost counters bit-identical to a bare
+executor over the live engine in every exec mode.
 
-Write statements are delegated to the database's group-commit pipeline;
-the session is a thin convenience handle owned by exactly one client
-thread.
+A session is a thin handle owned by exactly one client thread; its
+statements run through the database's one statement pipeline.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..errors import StorageError
 from ..rss.btree import BTree
-from ..rss.buffer import BufferPool
-from ..rss.scan import DEFAULT_BATCH_SIZE, IndexScan, SegmentScan
 from ..rss.segment import Segment
-from ..rss.storage import CommittedMeta, ScanSnapshot, StorageEngine
+from ..rss.storage import CommittedMeta, ScanSurface, StorageEngine
 from ..sql import ast, parse_statement
 
 
-class _SnapshotPages:
-    """Page-store facade resolving every read as of a pinned version.
-
-    Writes still reach the live store: sessions allocate and free only
-    *temp* pages (sort runs, temporary lists), whose ids are fresh and
-    therefore resolve to the live map unchanged.
-    """
-
-    def __init__(self, store, version: int):
-        self._store = store
-        self._version = version
-
-    def get(self, page_id: int) -> object:
-        return self._store.resolve(page_id, self._version)
-
-    def allocate_data_page(self, temp: bool = False):
-        return self._store.allocate_data_page(temp=temp)
-
-    def free(self, page_id: int) -> None:
-        self._store.free(page_id)
-
-    def is_temp(self, page_id: int) -> bool:
-        return self._store.is_temp(page_id)
-
-
 # concurrency: statement-scoped
-class _SnapshotBuffer:
-    """Buffer facade: shared LRU/counter accounting, versioned contents."""
+class SnapshotStorage(ScanSurface):
+    """The storage read surface as of one pinned version.
 
-    def __init__(self, shared: BufferPool, pages: _SnapshotPages):
-        self._shared = shared
-        self._pages = pages
-        self.capacity = shared.capacity
-
-    def fetch(self, page_id: int) -> object:
-        self._shared.note_fetch(page_id)
-        return self._pages.get(page_id)
-
-    def invalidate(self, page_id: int) -> None:
-        self._shared.invalidate(page_id)
-
-    def clear(self) -> None:
-        self._shared.clear()
-
-
-# concurrency: statement-scoped
-class SnapshotStorage:
-    """A storage-engine facade that serves reads as of one pinned version.
-
-    Exposes exactly the surface the executor consumes — ``counters``,
-    ``buffer``, ``store``, the three scan constructors, and
-    ``_datatypes`` — with segments and B-trees rebuilt from the frozen
+    Exposes exactly what the executor consumes — ``counters``, the scan
+    constructors of :class:`~repro.rss.storage.ScanSurface`, and itself as
+    both ``store`` and ``buffer``: page contents resolve as of the pin,
+    hit/fetch accounting goes to the shared pool, and the *temp* pages a
+    statement allocates (sort runs, temporary lists; fresh ids, so they
+    resolve to the live map unchanged) reach the live store.  Segments
+    and B-trees are rebuilt from the frozen
     :class:`~repro.rss.storage.CommittedMeta` of the pinned version.
     Statement-scoped: built per read statement, discarded with the pin.
     """
@@ -89,11 +44,25 @@ class SnapshotStorage:
     def __init__(self, engine: StorageEngine, version: int, meta: CommittedMeta):
         self.version = version
         self.counters = engine.counters
-        self.store = _SnapshotPages(engine.store, version)
-        self.buffer = _SnapshotBuffer(engine.buffer, self.store)
+        self.store = self.buffer = self
+        self._live_store = engine.store
+        self._live_buffer = engine.buffer
+        self.capacity = engine.buffer.capacity
+        self.allocate_data_page = engine.store.allocate_data_page
+        self.free = engine.store.free
+        self.invalidate = engine.buffer.invalidate
         self._meta = meta
         self._segments: dict[str, Segment] = {}
         self._btrees: dict[str, BTree] = {}
+
+    def get(self, page_id: int) -> object:
+        """The page as of the pinned version, with no buffer accounting."""
+        return self._live_store.resolve(page_id, self.version)
+
+    def fetch(self, page_id: int) -> object:
+        """The page as of the pinned version, counted in the shared pool."""
+        self._live_buffer.note_fetch(page_id)
+        return self._live_store.resolve(page_id, self.version)
 
     def segment(self, name: str) -> Segment:
         segment = self._segments.get(name)
@@ -121,70 +90,6 @@ class SnapshotStorage:
             self._btrees[index_name] = tree
         return tree
 
-    def segment_scan(
-        self,
-        table,
-        sargs=None,
-        matcher: Callable[[tuple], bool] | None = None,
-        decode_plan=None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        decode_cache: dict | None = None,
-    ) -> SegmentScan:
-        return SegmentScan(
-            self.segment(table.segment_name),
-            table.relation_id,
-            self._datatypes(table),
-            self.buffer,
-            self.counters,
-            sargs,
-            matcher=matcher,
-            decode_plan=decode_plan,
-            batch_size=batch_size,
-            decode_cache=decode_cache,
-        )
-
-    def scan_snapshot(self, table) -> ScanSnapshot:
-        return ScanSnapshot(
-            page_ids=tuple(self.segment(table.segment_name).page_ids),
-            relation_id=table.relation_id,
-            get_page=self.store.get,
-        )
-
-    def index_scan(
-        self,
-        index,
-        table,
-        low: tuple | None = None,
-        high: tuple | None = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-        sargs=None,
-        matcher: Callable[[tuple], bool] | None = None,
-        decode_plan=None,
-        batch_size: int = 1,
-        decode_cache: dict | None = None,
-    ) -> IndexScan:
-        return IndexScan(
-            self.btree(index.name),
-            self.segment(table.segment_name),
-            table.relation_id,
-            self._datatypes(table),
-            self.buffer,
-            self.counters,
-            low,
-            high,
-            low_inclusive,
-            high_inclusive,
-            sargs,
-            matcher=matcher,
-            decode_plan=decode_plan,
-            batch_size=batch_size,
-            decode_cache=decode_cache,
-        )
-
-    def _datatypes(self, table):
-        return [column.datatype for column in table.columns]
-
 
 # concurrency: driver-confined — a session is owned by one client thread
 class Session:
@@ -209,44 +114,15 @@ class Session:
         """Execute an already-parsed statement in this session."""
         if self._closed:
             raise StorageError(f"session {self.name!r} is closed")
-        if isinstance(statement, ast.SelectQuery):
-            return self._read(statement)
-        return self._db._execute_write(statement)
+        return self._db._execute(statement)
 
     def query(self, sql: str):
         """Alias of :meth:`execute` for read statements."""
         return self.execute(sql)
 
-    def _read(self, statement: ast.SelectQuery):
-        from ..database import StatementResult
-
-        db = self._db
-        # Shared latch: the catalog (and the planner's statistics) stay
-        # stable for the whole statement; DML proceeds concurrently — page
-        # stability comes from the pin, not the latch.
-        with db.ddl_latch.shared():
-            version, meta = db.storage.pin_snapshot()
-            try:
-                planned = db.plan_query(statement)
-                result = db.executor(
-                    SnapshotStorage(db.storage, version, meta)
-                ).execute(planned)
-            finally:
-                db.storage.unpin(version)
-        return StatementResult(
-            statement_type="SELECT",
-            columns=result.columns,
-            rows=result.rows,
-            affected_rows=len(result.rows),
-            snapshot_version=version,
-        )
-
     def close(self) -> None:
         """Release the session (idempotent)."""
-        if self._closed:
-            return
         self._closed = True
-        self._db._forget_session(self)
 
     def __enter__(self) -> "Session":
         return self

@@ -137,7 +137,6 @@ def run_stress(
     statements: int = 40,
     seed: int = 0,
     fault: FaultPlan | None = None,
-    group_commit: bool = True,
     commit_timeout: float = 30.0,
     join_timeout: float = 300.0,
 ) -> StressReport:
@@ -150,9 +149,7 @@ def run_stress(
     from ..analysis.storage_check import logical_dump, verify_storage
     from ..database import Database
 
-    db = Database(
-        path=path, commit_timeout=commit_timeout, group_commit=group_commit
-    )
+    db = Database(path=path, commit_timeout=commit_timeout)
     _seed_schema(db)
     logs = [ClientLog(client) for client in range(clients)]
     stop = threading.Event()
@@ -683,11 +680,6 @@ def main(argv: list[str]) -> int:
         "legs at reduced scale",
     )
     parser.add_argument(
-        "--no-group-commit",
-        action="store_true",
-        help="serialize commits one statement at a time (no batching)",
-    )
-    parser.add_argument(
         "--commit-timeout",
         type=float,
         default=30.0,
@@ -723,7 +715,6 @@ def main(argv: list[str]) -> int:
             statements=args.statements,
             seed=args.seed,
             fault=fault,
-            group_commit=not args.no_group_commit,
             commit_timeout=args.commit_timeout,
         )
         print(report.summary())

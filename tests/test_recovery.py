@@ -129,6 +129,17 @@ class TestDatabaseReopen:
         assert stats.ncard == 29
         db.close()
 
+    def test_programmatic_statistics_survive(self, populated_path):
+        """``update_statistics()`` commits, like the SQL form it runs as."""
+        path, __ = populated_path
+        db = Database(path=str(path))
+        db.execute("INSERT INTO EMP VALUES (500, 'NEW', 2)")
+        db.update_statistics()
+        db.close()
+        again = Database(path=str(path))
+        assert again.catalog.relation_stats("EMP").ncard == 30
+        again.close()
+
     def test_writes_after_reopen_are_durable(self, populated_path):
         path, __ = populated_path
         db = Database(path=str(path))

@@ -5,9 +5,10 @@ at statement start, writer serialization through the commit lock with a
 typed busy timeout, group-commit batching with per-participant outcomes
 (all-or-nothing on commit failure, lone rollback on a statement error),
 the Database context-manager/close lifecycle, cost-counter bit-identity
-between the session path and the classic engine path in every exec
-mode, and the stress harness at the acceptance scale of 100 concurrent
-clients plus the serving-layer fault legs.
+between the one statement pipeline (from either handle) and a bare
+executor over the live engine in every exec mode, and the stress harness
+at the acceptance scale of 100 concurrent clients plus the serving-layer
+fault legs.
 """
 
 import threading
@@ -86,13 +87,32 @@ def queue_writers(db, statements):
 # -- snapshot-isolated sessions ---------------------------------------------
 
 
-def test_session_read_matches_classic_path():
+def test_session_and_database_reads_are_the_same_pinned_read():
     db = make_db()
     with db.session() as session:
         result = session.execute("SELECT A, B FROM T WHERE A >= 2")
         assert sorted(result.rows) == [(2, 20), (3, 30)]
-        assert result.snapshot_version is not None
-        assert db.execute("SELECT A, B FROM T WHERE A >= 2").rows == result.rows
+        direct = db.execute("SELECT A, B FROM T WHERE A >= 2")
+        assert direct.rows == result.rows
+        assert direct.snapshot_version == result.snapshot_version is not None
+    db.close()
+
+
+def test_select_reads_the_committed_version_beside_an_open_batch():
+    """A SELECT from the database handle is pinned like a session's: it
+    never sees an open batch's rows, aborted or not."""
+    db = make_db()
+    table = db.catalog.table("T")
+    db.storage.begin_batch()
+    with db.storage.statement():
+        db.storage.insert(table, [], (4, 40))
+    during = db.execute("SELECT COUNT(*) FROM T")
+    assert during.scalar() == 3
+    assert during.snapshot_version is not None
+    db.storage.abort_batch()
+    after = db.execute("SELECT COUNT(*) FROM T")
+    assert after.scalar() == 3
+    assert after.snapshot_version == during.snapshot_version
     db.close()
 
 
@@ -153,6 +173,20 @@ def test_database_context_manager_and_idempotent_close(tmp_path):
         assert again.execute("SELECT A FROM C").rows == []
 
 
+def test_closed_database_refuses_reads_and_writes(tmp_path):
+    db = Database(path=str(tmp_path / "closed.pages"))
+    db.execute("CREATE TABLE C (A INTEGER)")
+    session = db.session("held")
+    db.close()
+    for statement in ("SELECT A FROM C", "INSERT INTO C VALUES (1)"):
+        with pytest.raises(StorageError, match="database is closed"):
+            db.execute(statement)
+        with pytest.raises(StorageError, match="database is closed"):
+            session.execute(statement)
+    with pytest.raises(StorageError, match="database is closed"):
+        db.update_statistics()
+
+
 # -- commit lock and busy timeout -------------------------------------------
 
 
@@ -190,19 +224,6 @@ def test_queued_writers_share_one_flip():
     # one batch -> one page-table flip -> one shared commit version
     assert len({result.commit_version for result in outcomes}) == 1
     assert db.execute("SELECT A FROM T WHERE A >= 100").affected_rows == 3
-    db.close()
-
-
-def test_group_commit_off_flips_per_statement():
-    db = make_db(group_commit=False)
-    coordinator = db._coordinator
-    before = coordinator.batches_committed
-    outcomes = queue_writers(
-        db,
-        [f"INSERT INTO T VALUES ({200 + i}, {i})" for i in range(3)],
-    )
-    assert coordinator.batches_committed == before + 3
-    assert len({result.commit_version for result in outcomes}) == 3
     db.close()
 
 
@@ -306,8 +327,13 @@ def test_commit_lock_fault_point_error_and_crash(tmp_path):
 # -- counter bit-identity ----------------------------------------------------
 
 
+@pytest.mark.parametrize("handle", ["database", "session"])
 @pytest.mark.parametrize("mode", ["interp", "compiled", "fused", "parallel"])
-def test_session_counters_bit_identical_to_engine(mode):
+def test_pipeline_counters_bit_identical_to_engine(mode, handle):
+    """The pinned pipeline costs exactly what a bare executor over the
+    live engine costs (the tests' reference read path)."""
+    from repro.sql import parse_statement
+
     db = Database(exec_mode=mode, workers=2)
     db.execute("CREATE TABLE E (A INTEGER, B INTEGER)")
     db.execute("CREATE INDEX EA ON E (A)")
@@ -316,16 +342,17 @@ def test_session_counters_bit_identical_to_engine(mode):
     db.execute("UPDATE STATISTICS")
     query = "SELECT A, B FROM E WHERE A >= 5 AND A <= 11 ORDER BY B"
     db.cold_cache()
-    classic = db.execute(query)
+    reference = db.executor().execute(db.plan_query(parse_statement(query)))
     counters = (
         db.counters.page_fetches,
         db.counters.rsi_calls,
         db.counters.buffer_hits,
     )
     db.cold_cache()
-    with db.session() as session:
-        served = session.execute(query)
-    assert served.rows == classic.rows
+    client = db if handle == "database" else db.session()
+    served = client.execute(query)
+    assert served.rows == reference.rows
+    assert served.snapshot_version is not None
     assert (
         db.counters.page_fetches,
         db.counters.rsi_calls,
