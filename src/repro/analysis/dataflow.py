@@ -802,7 +802,7 @@ def find_dead_code(
 
     roots: list[str] = []
     for qualname, func in graph.functions.items():
-        if func.module in _ENTRY_MODULES or func.module.startswith("perf/"):
+        if func.module in _ENTRY_MODULES:
             roots.append(qualname)
         elif func.name in external_names:
             roots.append(qualname)

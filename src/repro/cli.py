@@ -186,24 +186,21 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro``.
 
     ``python -m repro check [--plans|--costs|--lint|--storage|--fusion|
-    --effects|--concurrency|--dead-code]`` runs the
-    static verification suite, ``python -m repro bench
-    [--quick|--compare]`` the optimizer micro-benchmarks, and
-    ``python -m repro stress [--clients N|--fault SPEC|--fault-smoke]``
-    the concurrent-serving stress harness instead of the shell.  ``--db PATH`` opens (or creates) a durable database backed by
+    --effects|--concurrency|--dead-code]`` runs the static verification
+    suite and ``python -m repro stress [--clients N|--fault SPEC|
+    --fault-smoke]`` the concurrent-serving stress harness instead of the
+    shell.  ``--db PATH`` opens (or creates) a durable database backed by
     ``PATH``; any other arguments are read as SQL script files before the
-    interactive prompt starts.  Fault plans in ``REPRO_FAULTS`` (e.g.
-    ``pagetable.flip@1:crash``) are armed before the first statement.
+    interactive prompt starts — one that cannot be read is reported as
+    ``error: ...`` on stderr with exit status 2.  Fault plans in
+    ``REPRO_FAULTS`` (e.g. ``pagetable.flip@1:crash``) are armed before the
+    first statement.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "check":
         from .analysis.check import main as check_main
 
         return check_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from .perf.bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "stress":
         from .serving.stress import main as stress_main
 
@@ -222,7 +219,12 @@ def main(argv: list[str] | None = None) -> int:
     shell = Shell(Database(path=db_path))
     print("repro — a miniature System R. \\q to quit; statements end with ;")
     for path in argv:
-        with open(path, encoding="utf-8") as handle:
+        try:
+            handle = open(path, encoding="utf-8")
+        except OSError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        with handle:
             shell.run(handle)
     try:
         while not shell.finished:

@@ -55,13 +55,16 @@ class DataType:
         """Coerce and range-check a Python value for this type.
 
         Returns the canonical Python value (int, float, or str), or ``None``
-        for NULL.  Raises :class:`SemanticError` on a type mismatch.
+        for NULL.  Raises :class:`SemanticError` on a type mismatch or an
+        INTEGER outside the signed 64-bit range it is stored in.
         """
         if value is None:
             return None
         if self.kind is TypeKind.INTEGER:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SemanticError(f"expected INTEGER, got {value!r}")
+            if not -(2**63) <= value < 2**63:
+                raise SemanticError(f"INTEGER out of range: {value}")
             return value
         if self.kind is TypeKind.FLOAT:
             if isinstance(value, bool) or not isinstance(value, (int, float)):

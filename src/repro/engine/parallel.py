@@ -14,8 +14,8 @@ instead: equality probe SARGs hash-repartition the inner relation once
 per statement, and workers answer probes by bucket lookup rather than
 by rescanning the inner pages.
 
-Counter fidelity is the contract that keeps ``repro bench --exec
---compare`` bit-identical to ``fused``:
+Counter fidelity is the contract that keeps every parallel run's cost
+counters bit-identical to ``fused`` (``repro check --fusion`` checks it):
 
 - **RSI calls** are order-independent sums.  Every worker counts into its
   own private :class:`~repro.rss.counters.CostCounters` and the driving

@@ -52,7 +52,7 @@ def hash_join_enabled() -> bool:
 
     On by default; ``REPRO_HASHJOIN=0`` (or ``off``) restricts the search
     to the paper's NL/merge repertoire — the switch the equivalence tests
-    and the NL/merge benchmark baseline use.
+    use.
     """
     return os.environ.get("REPRO_HASHJOIN", "") not in ("0", "off")
 

@@ -53,10 +53,6 @@ class TableSpec:
     columns: list[ColumnSpec]
     indexes: list[IndexSpec] = field(default_factory=list)
     pad_bytes: int = 0  # adds a PAD VARCHAR column to widen tuples
-    #: Sort rows by this column before loading, so equal values sit on
-    #: contiguous pages — with a skewed column this concentrates the hot
-    #: value's pages in one static partition.
-    cluster_by: str | None = None
 
     def column(self, name: str) -> ColumnSpec:
         """The column spec for a name; raises KeyError when absent."""
@@ -104,9 +100,6 @@ def build_database(
             if spec.pad_bytes:
                 row.append(padding)
             rows.append(tuple(row))
-        if spec.cluster_by is not None:
-            position = [c.name for c in spec.columns].index(spec.cluster_by)
-            rows.sort(key=lambda row: row[position])
         load_rows(db, spec.name, rows)
         for index in spec.indexes:
             unique = "UNIQUE " if index.unique else ""

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.cli import Shell, format_table
+from repro.cli import Shell, format_table, main
 
 
 def run_shell(lines, db=None):
@@ -122,3 +122,11 @@ class TestMetaCommands:
     def test_input_file_missing(self):
         __, output = run_shell(["\\i /no/such/file.sql"])
         assert "error:" in output
+
+
+class TestMain:
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_script_argument(self, tmp_path, capsys, kind):
+        target = tmp_path / "nosuch.sql" if kind == "missing" else tmp_path
+        assert main([str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.storage_check import logical_dump, verify_storage
 from repro.database import Database
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, ReproError
 from repro.rss.btree import _InternalNode, _LeafNode, orderable_key
 from repro.rss.page import PAGE_SIZE, Page, TupleId
 from repro.rss.recovery import (
@@ -168,6 +168,39 @@ class TestDatabaseReopen:
         db.close()
         again = Database(path=str(path))
         assert again.catalog.has_table("T")
+        again.close()
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "INSERT INTO T VALUES (9223372036854775808, 'a')",
+            "UPDATE T SET A = 9223372036854775808",
+            "INSERT INTO T SELECT A * 9223372036854775807, B FROM T",
+        ],
+        ids=["insert", "update", "insert_select"],
+    )
+    def test_out_of_range_integer_is_rejected(self, tmp_path, statement):
+        """An INTEGER outside the 64-bit page encoding is a typed error and
+        the statement leaves nothing behind; the bounds themselves store."""
+        path = tmp_path / "db.pages"
+        db = Database(path=str(path))
+        db.execute("CREATE TABLE T (A INTEGER, B VARCHAR(4))")
+        db.execute("INSERT INTO T VALUES (1, 'x'), (2, 'y')")
+        with pytest.raises(ReproError):
+            db.execute(statement)
+        assert db.execute("SELECT COUNT(*) FROM T").scalar() == 2
+        db.execute(
+            "INSERT INTO T VALUES (-9223372036854775808, 'min'), "
+            "(9223372036854775807, 'max')"
+        )
+        assert db.execute("SELECT MIN(A), MAX(A) FROM T").rows == [
+            (-(2**63), 2**63 - 1)
+        ]
+        dump = logical_dump(db)
+        db.close()
+        again = Database(path=str(path))
+        assert logical_dump(again) == dump
+        assert verify_storage(again) == []
         again.close()
 
 
