@@ -14,11 +14,11 @@ Eight sub-checks, all on by default:
   reachability, checksums) over in-memory, durable, torn-page, and
   crash/recover scenarios.
 - ``--fusion`` executes the workload corpus (plus a dedicated hash-join
-  corpus) under every engine mode — interpreted, compiled, fused, and
-  parallel — on identically-built databases, asserting the *ordered* row
-  sequences, cost counters, and subquery evaluation cadence are
-  bit-identical — fused chains must preserve every declared output
-  order, not just row sets.
+  corpus) under every engine mode — interpreted, fused, and parallel —
+  on identically-built databases, asserting the *ordered* row sequences,
+  cost counters, and subquery evaluation cadence are bit-identical —
+  fused chains must preserve every declared output order, not just row
+  sets.
 - ``--effects`` infers per-function effect signatures over the whole
   program (:mod:`repro.analysis.effects`) and enforces the effect rules:
   planning layers (``optimizer/``, ``sql/``, ``catalog/``) perform no
@@ -288,12 +288,12 @@ def _count_hash_joins(planned) -> int:
 def _audit_fused_query(
     db: Database, sql: str, violations: list[Violation], workers: int = 2
 ) -> tuple[int, int]:
-    """Execute ``sql`` in every engine mode; compare all four.
+    """Execute ``sql`` in every engine mode; compare all three.
 
     Every execution starts from a cold buffer on the *same* database, so
     any divergence in page fetches, buffer hits, or RSI calls is the
     diverging engine's fault, not warm-cache luck.  The interpreted
-    engine is the reference; compiled, fused, and parallel runs must
+    engine is the reference; fused and parallel runs must
     reproduce its ordered row sequence, counter totals, and subquery
     evaluation cadence exactly.  Row lists are compared as ordered
     sequences: a fused chain that reorders rows — even for a query with
@@ -308,7 +308,7 @@ def _audit_fused_query(
 
     planned = db.plan(sql)
     runs = {}
-    for mode in ("interp", "compiled", "fused", "parallel"):
+    for mode in ("interp", "fused", "parallel"):
         db.storage.cold_cache()
         executor = Executor(
             db.storage, db.catalog, exec_mode=mode, workers=workers
@@ -327,7 +327,7 @@ def _audit_fused_query(
             dict(runtime.evaluation_counts) if runtime else {},
         )
     ref_rows, ref_counters, ref_evals = runs["interp"]
-    for mode in ("compiled", "fused", "parallel"):
+    for mode in ("fused", "parallel"):
         rows, counters, evals = runs[mode]
         where = f"fusion [mode: {mode}] [query: {sql}]"
         if rows != ref_rows:
@@ -439,7 +439,11 @@ def check_fusion(
     """
     import os
 
-    workers = int(os.environ.get("REPRO_WORKERS", "2"))
+    from ..engine.executor import parse_workers
+
+    workers = parse_workers(
+        os.environ.get("REPRO_WORKERS", "2"), source="REPRO_WORKERS"
+    )
     violations: list[Violation] = []
     executed = 0
     chains = 0
@@ -452,7 +456,7 @@ def check_fusion(
             chains += audited
             hash_joins += hashed
             executed += 1
-    echo(f"  empdept: {executed} queries: interp vs compiled/fused/parallel({workers})")
+    echo(f"  empdept: {executed} queries: interp vs fused/parallel({workers})")
     generated = 0
     for db, batch in generated_batches(queries, seed):
         for sql in batch:
@@ -462,7 +466,7 @@ def check_fusion(
             chains += audited
             hash_joins += hashed
             generated += 1
-    echo(f"  generated: {generated} queries: interp vs compiled/fused/parallel({workers})")
+    echo(f"  generated: {generated} queries: interp vs fused/parallel({workers})")
     hashed_queries = 0
     for db, batch in hashjoin_corpus():
         for sql in batch:
@@ -483,7 +487,7 @@ def check_fusion(
                 )
     echo(
         f"  hashjoin: {hashed_queries} queries: interp vs "
-        f"compiled/fused/parallel({workers})"
+        f"fused/parallel({workers})"
     )
     echo(
         f"  {chains} fused chains and {hash_joins} hash joins audited "
@@ -627,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fusion",
         action="store_true",
-        help="differentially execute the corpus fused vs compiled",
+        help="differentially execute the corpus interp vs fused vs parallel",
     )
     parser.add_argument(
         "--effects",

@@ -191,10 +191,11 @@ def main(argv: list[str] | None = None) -> int:
     --fault-smoke]`` the concurrent-serving stress harness instead of the
     shell.  ``--db PATH`` opens (or creates) a durable database backed by
     ``PATH``; any other arguments are read as SQL script files before the
-    interactive prompt starts — one that cannot be read is reported as
-    ``error: ...`` on stderr with exit status 2.  Fault plans in
-    ``REPRO_FAULTS`` (e.g. ``pagetable.flip@1:crash``) are armed before the
-    first statement.
+    interactive prompt starts.  Fault plans in ``REPRO_FAULTS`` (e.g.
+    ``pagetable.flip@1:crash``) are armed before the first statement.  A
+    bad setting (``REPRO_EXEC``, ``REPRO_WORKERS``, ``REPRO_FAULTS``), a
+    database path that cannot be opened, or a script that cannot be read
+    is reported as ``error: ...`` on stderr with exit status 2.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "check":
@@ -215,8 +216,13 @@ def main(argv: list[str] | None = None) -> int:
         del argv[position : position + 2]
     from .rss.faults import arm_from_env
 
-    arm_from_env()
-    shell = Shell(Database(path=db_path))
+    try:
+        arm_from_env()
+        db = Database(path=db_path)
+    except (OSError, ValueError, ReproError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    shell = Shell(db)
     print("repro — a miniature System R. \\q to quit; statements end with ;")
     for path in argv:
         try:

@@ -30,7 +30,7 @@ from .engine.executor import (
     Runtime,
     resolve_exec_settings,
 )
-from .engine.scheduler import resolve_backend, shutdown_backends
+from .engine.scheduler import hold_backends, release_backends
 from .errors import ExecutionError, SemanticError, StorageError
 from .optimizer.cost import DEFAULT_W
 from .optimizer.plan import render_plan
@@ -79,7 +79,6 @@ class Database:
         subquery_cache_mode: str = "prev",
         exec_mode: str | None = None,
         workers: int | None = None,
-        backend: str | None = None,
         path: str | None = None,
         commit_timeout: float = DEFAULT_COMMIT_TIMEOUT,
     ):
@@ -96,21 +95,17 @@ class Database:
         self.use_heuristic = use_heuristic
         self.use_interesting_orders = use_interesting_orders
         self.subquery_cache_mode = subquery_cache_mode
-        # Validated eagerly, like ``backend`` below: a mode typo or a bad
-        # count fails at construction, not at the first SELECT.
+        # Validated eagerly: a mode typo or a bad count fails at
+        # construction, not at the first SELECT.
         resolve_exec_settings(exec_mode, workers)
-        #: "fused" / "parallel" / "compiled" / "interp" / None (None reads
-        #: REPRO_EXEC at statement time, default fused) — chooses fused
-        #: per-batch pipelines (optionally worker-pool parallel),
-        #: per-operator closure programs, or the reference interpreter.
+        #: "fused" / "parallel" / "interp" / None (None reads REPRO_EXEC
+        #: at statement time, default fused) — chooses fused per-batch
+        #: pipelines, the same on a thread pool, or the reference
+        #: interpreter.
         self.exec_mode = exec_mode
         #: Worker count for ``parallel`` mode; None reads REPRO_WORKERS
         #: (falling back to the CPU count).
         self.workers = workers
-        #: Worker-pool backend for ``parallel`` mode: "thread" or
-        #: "process"; None reads REPRO_BACKEND (default thread).
-        #: Validated eagerly like ``workers``.
-        self.backend = resolve_backend(backend)
         #: Override for the planner's §6 correlation-ordering decision;
         #: None derives it from the cache mode.
         self.correlation_ordering: bool | None = None
@@ -153,13 +148,16 @@ class Database:
         ``storage`` defaults to the live engine, which a write statement
         reads its own target rows through inside its batch; a SELECT
         passes the :class:`~repro.serving.session.SnapshotStorage` of its
-        pin.
+        pin.  A parallel executor makes this database hold the worker
+        pools until it closes.
         """
+        mode, workers = resolve_exec_settings(self.exec_mode, self.workers)
+        if mode == "parallel" and workers > 1:
+            hold_backends(self)
         return Executor(
             self.storage if storage is None else storage,
             self.catalog, self.subquery_cache_mode,
-            exec_mode=self.exec_mode, workers=self.workers,
-            backend=self.backend,
+            exec_mode=mode, workers=workers,
         )
 
     @property
@@ -183,11 +181,10 @@ class Database:
                 return
             self._closed = True
         self.storage.close()
-        # Worker pools are process-wide (shared across Database instances
-        # by design — they hold no per-database state), so closing the
-        # last database of a long-lived serving process reclaims them;
-        # concurrent databases simply re-create pools on next use.
-        shutdown_backends()
+        # Worker pools are process-wide (they hold no per-database
+        # state): they go when the last database holding them closes,
+        # never under a statement another database is running.
+        release_backends(self)
 
     def __enter__(self) -> "Database":
         return self

@@ -23,7 +23,6 @@ from ..rss.storage import StorageEngine
 from .evaluator import EvalEnv, evaluate
 from .operators import ExecContext, iterate
 from .rows import OUTPUT_ALIAS
-from .scheduler import resolve_backend
 
 
 @dataclass
@@ -50,10 +49,12 @@ class QueryResult:
 
 
 #: Every execution engine an entry point may select.
-VALID_EXEC_MODES = ("fused", "parallel", "compiled", "interp")
+VALID_EXEC_MODES = ("fused", "parallel", "interp")
 
 
-def _parse_workers(text: str, source: str) -> int:
+def parse_workers(text: str, source: str) -> int:
+    """A positive worker count from ``text``; ``source`` names it in the
+    error."""
     try:
         workers = int(text)
     except ValueError:
@@ -88,7 +89,7 @@ def resolve_exec_settings(
                 "(only 'parallel:N' does)"
             )
         if workers is None:
-            workers = _parse_workers(suffix, source="exec_mode suffix")
+            workers = parse_workers(suffix, source="exec_mode suffix")
     if mode not in VALID_EXEC_MODES:
         raise ValueError(
             f"unknown exec mode {mode!r}; valid modes: "
@@ -97,7 +98,7 @@ def resolve_exec_settings(
     if workers is None:
         env_workers = os.environ.get("REPRO_WORKERS")
         if env_workers is not None:
-            workers = _parse_workers(env_workers, source="REPRO_WORKERS")
+            workers = parse_workers(env_workers, source="REPRO_WORKERS")
         else:
             workers = (os.cpu_count() or 1) if mode == "parallel" else 1
     elif workers < 1:
@@ -108,13 +109,12 @@ def resolve_exec_settings(
 
 
 def resolve_exec_mode(exec_mode: str | None = None) -> str:
-    """The execution mode: ``"fused"`` (default), ``"parallel"``,
-    ``"compiled"``, or ``"interp"``.
+    """The execution mode: ``"fused"`` (default), ``"parallel"``, or
+    ``"interp"``.
 
     ``None`` falls back to the ``REPRO_EXEC`` environment variable, letting
-    any entry point A/B the fused pipeline engine against the
-    generator-per-operator compiled engine and the reference interpreter
-    without code changes.
+    any entry point A/B the fused pipeline engine against its
+    worker-pool twin and the reference interpreter without code changes.
     """
     return resolve_exec_settings(exec_mode)[0]
 
@@ -122,9 +122,9 @@ def resolve_exec_mode(exec_mode: str | None = None) -> str:
 class Runtime:  # concurrency: statement-scoped
     """Cross-block execution services for one statement.
 
-    ``exec_mode``, ``workers`` and ``backend`` arrive already resolved
-    (one of :data:`VALID_EXEC_MODES`, a positive count, a valid backend):
-    the :class:`Executor` resolves arguments and environment once.
+    ``exec_mode`` and ``workers`` arrive already resolved (one of
+    :data:`VALID_EXEC_MODES` and a positive count): the :class:`Executor`
+    resolves arguments and environment once.
     """
 
     def __init__(
@@ -135,17 +135,15 @@ class Runtime:  # concurrency: statement-scoped
         subquery_cache_mode: str = "prev",
         exec_mode: str = "fused",
         workers: int = 1,
-        backend: str = "thread",
     ):
         if subquery_cache_mode not in ("prev", "none", "memo"):
             raise ValueError(f"bad subquery_cache_mode {subquery_cache_mode!r}")
-        self.backend = backend
         self.interpret = exec_mode == "interp"
         # Parallel mode rides the fused driver infrastructure: eligible
         # chains get worker-pool drivers, everything else falls back to
         # the serial fused engine.
         self.parallel = exec_mode == "parallel"
-        self.fused = exec_mode == "fused" or self.parallel
+        self.fused = not self.interpret
         self.workers = workers
         self.storage = storage
         self.catalog = catalog
@@ -270,7 +268,6 @@ def _context_for(runtime: Runtime, planned: PlannedStatement) -> ExecContext:
         fused=runtime.fused,
         parallel=runtime.parallel,
         workers=runtime.workers,
-        backend=runtime.backend,
     )
 
 
@@ -284,7 +281,6 @@ class Executor:  # concurrency: statement-scoped
         subquery_cache_mode: str = "prev",
         exec_mode: str | None = None,
         workers: int | None = None,
-        backend: str | None = None,
     ):
         self._storage = storage
         self._catalog = catalog
@@ -292,7 +288,6 @@ class Executor:  # concurrency: statement-scoped
         self._exec_mode, self._workers = resolve_exec_settings(
             exec_mode, workers
         )
-        self._backend = resolve_backend(backend)
         self.last_runtime: Runtime | None = None
 
     def execute(self, planned: PlannedStatement) -> QueryResult:
@@ -300,7 +295,6 @@ class Executor:  # concurrency: statement-scoped
         runtime = Runtime(
             self._storage, self._catalog, planned, self._cache_mode,
             exec_mode=self._exec_mode, workers=self._workers,
-            backend=self._backend,
         )
         self.last_runtime = runtime
         ctx = _context_for(runtime, planned)
@@ -320,7 +314,6 @@ class Executor:  # concurrency: statement-scoped
         runtime = Runtime(
             self._storage, self._catalog, planned, self._cache_mode,
             exec_mode=self._exec_mode, workers=self._workers,
-            backend=self._backend,
         )
         self.last_runtime = runtime
         node = planned.root

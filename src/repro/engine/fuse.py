@@ -33,9 +33,7 @@ A chain's per-tuple work is written once, as a **chunk processor**
 mapping SARG-matched ``(tid, values)`` pairs to an output batch; the
 serial driver here applies it over ``scan.batches()``, and the parallel
 engine hands the same processor to the scan kernel of
-:mod:`repro.engine.scheduler` on thread workers (process workers run
-the kernel's position-only processors and leave the rest to the
-gather).
+:mod:`repro.engine.scheduler` on its pool workers.
 
 Counter fidelity: ``batches()`` does no RSI accounting; drivers charge
 ``CostCounters.count_rsi_call(len(batch))`` before a batch is processed.
@@ -280,7 +278,6 @@ def _scan_driver(
     project: ProjectNode | None,
     make_process,
     ctx: ExecContext,
-    out_positions: tuple[int, ...] | None = None,
 ) -> BatchDriver:
     """Schedule a chain's chunk processor over its scan.
 
@@ -300,9 +297,7 @@ def _scan_driver(
         exprs = [pred for f in filters for pred in f.predicates]
         if project is not None:
             exprs.extend(project.exprs)
-        parallel = parallel_scan_driver(
-            scan_node, program, exprs, make_process, out_positions
-        )
+        parallel = parallel_scan_driver(scan_node, program, exprs, make_process)
         if parallel is not None:
             return parallel
 
@@ -884,8 +879,8 @@ def _scan_output_driver(
     When the whole select list is plain columns of the scanned relation
     the projection collapses to a single :func:`operator.itemgetter` over
     the decoded storage tuple — no environment, no ``Row``, no closure
-    calls per column — and, unfiltered, the whole processor is
-    position-only, so process workers can apply it too.
+    calls per column — and, unfiltered, the processor needs no
+    environment at all.
     """
     alias = scan_node.alias
     test, fns = _chain_closures(scan_node, filters, project, ctx)
@@ -894,7 +889,7 @@ def _scan_output_driver(
     if test is None and positions is not None:
         direct = columns_processor(positions)
         return _scan_driver(
-            scan_node, filters, project, lambda ctx, outer: direct, ctx, positions
+            scan_node, filters, project, lambda ctx, outer: direct, ctx
         )
 
     if test is None:

@@ -77,10 +77,6 @@ class ExecContext:
     #: Worker count for parallel drivers; read at call time, so compiled
     #: drivers cached on plan nodes stay worker-count-independent.
     workers: int = 1
-    #: Execution backend for parallel drivers (``"thread"`` or
-    #: ``"process"``); read at call time like ``workers``, so cached
-    #: drivers stay backend-independent too.
-    backend: str = "thread"
 
     @property
     def storage(self):
@@ -100,7 +96,8 @@ def iterate(
     In fused mode the whole subtree is handed to the pipeline compiler,
     which drives maximal Scan→Filter→Project chains as single per-batch
     closures; the generator-per-operator dispatch below is the
-    ``compiled``/``interp`` reference path.
+    ``interp`` reference path, and the per-tuple path the fused engine
+    keeps for grace hash joins and merge-join inners.
     """
     if ctx.fused:
         from .fuse import fused_rows

@@ -45,20 +45,13 @@ fused driver.  Subqueries still parallelize internally — their own plans
 compile their own drivers — while the enclosing chain keeps its exact
 per-probe evaluation cadence.
 
-Scheduling and backends live in :mod:`repro.engine.scheduler`: scans
-decompose into fixed-size page morsels pulled from the pool's shared
-queue by idle workers (work-stealing by construction), and
-``REPRO_BACKEND`` selects the thread pool or the fork-based process
-pool.  Process workers cannot receive compiled closures, so the scan
-drivers ship value-bound SARG specs and either apply the all-columns
-``itemgetter`` fast path worker-side or return raw ``(tid, values)``
-chunks for the driver's closures at the gather; the probe and sort
-exchanges below always pin themselves to the thread backend for the
-same reason.  On top of the scheduler the two serial breakers go
-parallel: :func:`parallel_aggregate_driver` feeds per-morsel partial
-aggregates to the shared streaming fold driver, and
-:func:`parallel_run_sorter` feeds per-worker sorted runs into the
-external sort's k-way merge.
+Scheduling lives in :mod:`repro.engine.scheduler`: scans decompose
+into fixed-size page morsels pulled from the thread pool's shared queue
+by idle workers (work-stealing by construction).  On top of the
+scheduler the two serial breakers go parallel:
+:func:`parallel_aggregate_driver` feeds per-morsel partial aggregates to
+the shared streaming fold driver, and :func:`parallel_run_sorter` feeds
+per-worker sorted runs into the external sort's k-way merge.
 """
 
 from __future__ import annotations
@@ -75,14 +68,7 @@ from ..optimizer.plan import (
     ScanNode,
 )
 from ..rss.counters import CostCounters
-from ..rss.sargs import (
-    CompareOp,
-    ConjunctiveSargs,
-    SargPredicate,
-    Sargs,
-    and_matcher,
-    dnf_matcher,
-)
+from ..rss.sargs import CompareOp, and_matcher, dnf_matcher
 from ..rss.scan import decode_page_rows
 from ..sql import ast
 from .evaluator import EvalEnv
@@ -100,16 +86,11 @@ from .operators import (
 )
 from .rows import Row
 from .scheduler import (
-    AggCallSpec,
-    AggMorsel,
-    ScanMorsel,
     fold_pages,
     get_backend,
     morsel_pages,
     morsel_ranges,
     partition_ranges,
-    run_agg_morsel,
-    run_scan_morsel,
     scan_pages,
 )
 
@@ -171,54 +152,19 @@ def _segment_scan_eligible(node: ScanNode, program: _ScanProgram) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _value_bound_sargs(
-    program: _ScanProgram, ctx: ExecContext, outer: EvalEnv | None
-) -> ConjunctiveSargs | None:
-    """The scan's SARGs with probe values evaluated, as picklable data.
-
-    Process workers cannot receive the per-open matcher closure, so the
-    driver evaluates every value closure once (pure by the subquery-free
-    eligibility guarantee) and rebuilds the predicate structure the
-    worker recompiles with :func:`~repro.rss.sargs.compile_matcher` —
-    the same factories, fast paths, and NULL-rejects-all semantics as
-    :func:`~repro.engine.operators.compile_sarg_matcher`.
-    """
-    if not program.sarg_parts:
-        return None
-    value_env = ctx.env(Row(), outer)
-    parts = []
-    for part, spec_part in zip(program.sarg_parts, program.sarg_specs):
-        groups = []
-        for group, spec_group in zip(part, spec_part):
-            groups.append(
-                [
-                    SargPredicate(position, op, value_fn(value_env))
-                    for (__, value_fn), (position, op) in zip(
-                        group, spec_group
-                    )
-                ]
-            )
-        parts.append(Sargs(groups))
-    return ConjunctiveSargs(parts)
-
-
 def _morsel_results(
     scan_node: ScanNode,
     program: _ScanProgram,
     ctx: ExecContext,
     outer: EvalEnv | None,
-    backend,
-    thread_task,
-    process_task,
+    make_task,
 ):
     """Fan a segment scan's page morsels out; yield ``(page_ids, result)``
     per morsel in submission order with its private counters merged.
 
-    Tasks are zero-argument callables over a morsel's frozen ``(page_id,
-    Page)`` pairs: ``thread_task(pages, relation_id, decode, matcher)``
-    closes over compiled closures, while ``process_task(pages,
-    relation_id, datatypes, sargs)`` must pickle, so it gets the value-
-    bound SARG spec to recompile worker-side.  The caller replays
+    ``make_task(pages, relation_id, decode, matcher)`` returns the
+    zero-argument worker task running the scan kernel over one morsel's
+    frozen ``(page_id, Page)`` pairs.  The caller replays
     ``buffer.fetch`` over each morsel's ``page_ids`` — lazily, at the
     point the serial scan would have fetched them.
     """
@@ -226,25 +172,18 @@ def _morsel_results(
     page_ids = snapshot.page_ids
     if not page_ids:
         return
-    if backend.kind == "process":
-        make_task = process_task
-        spec: tuple = (
-            tuple(ctx.schemas[scan_node.alias]),
-            _value_bound_sargs(program, ctx, outer),
-        )
-    else:
-        make_task = thread_task
-        spec = (
-            program.decode_plan.decode,
-            compile_sarg_matcher(program, ctx.env(Row(), outer)),
-        )
+    decode = program.decode_plan.decode
+    matcher = compile_sarg_matcher(program, ctx.env(Row(), outer))
     ranges = morsel_ranges(len(page_ids), morsel_pages())
     tasks = [
-        make_task(snapshot.freeze_range(lo, hi), snapshot.relation_id, *spec)
+        make_task(
+            snapshot.freeze_range(lo, hi), snapshot.relation_id, decode, matcher
+        )
         for lo, hi in ranges
     ]
     merge = ctx.storage.counters.merge
-    for (lo, hi), result in zip(ranges, backend.imap(tasks)):
+    results = get_backend(ctx.workers).imap(tasks)
+    for (lo, hi), result in zip(ranges, results):
         merge(result[0])
         yield page_ids[lo:hi], result
 
@@ -254,20 +193,14 @@ def parallel_scan_driver(
     program: _ScanProgram,
     exprs: list,
     make_process,
-    out_positions: tuple[int, ...] | None = None,
 ):
     """A morsel-parallel ``Scan→Filter*→Project?`` driver, or ``None``.
 
     ``make_process(ctx, outer)`` is the chain's chunk processor factory
     from :mod:`repro.engine.fuse` — the very closures the serial driver
     runs — and ``exprs`` the filter and projection expressions it
-    evaluates, for the subquery veto.  Thread tasks each run the scan
-    kernel with a processor (and mutable environment) of their own.
-    Closures cannot cross into process workers, so those morsels either
-    carry ``out_positions`` (the all-plain-columns fast path, applied
-    worker-side) or return raw chunks that the driving thread maps
-    through one processor at the gather — the same deterministic
-    per-row function either way.
+    evaluates, for the subquery veto.  Each task runs the scan kernel
+    with a processor (and mutable environment) of its own.
     """
     if not _segment_scan_eligible(scan_node, program):
         return None
@@ -275,7 +208,7 @@ def parallel_scan_driver(
         return None
 
     def driver(ctx: ExecContext, outer: EvalEnv | None):
-        def thread_task(pages, relation_id, decode, matcher):
+        def make_task(pages, relation_id, decode, matcher):
             return partial(
                 scan_pages,
                 pages,
@@ -285,25 +218,13 @@ def parallel_scan_driver(
                 make_process(ctx, outer),
             )
 
-        def process_task(pages, relation_id, datatypes, sargs):
-            return partial(
-                run_scan_morsel,
-                ScanMorsel(pages, relation_id, datatypes, sargs, out_positions),
-            )
-
-        backend = get_backend(ctx.workers, ctx.backend)
-        post = None
-        if backend.kind == "process" and out_positions is None:
-            post = make_process(ctx, outer)
         fetch = ctx.storage.buffer.fetch
         for page_ids, (__, pages) in _morsel_results(
-            scan_node, program, ctx, outer, backend, thread_task, process_task
+            scan_node, program, ctx, outer, make_task
         ):
             for page_id, chunks in zip(page_ids, pages):
                 fetch(page_id)
                 for out in chunks:
-                    if post is not None:
-                        out = post(out)
                     if out:
                         yield out
 
@@ -471,10 +392,7 @@ def parallel_nested_loop_driver(node: NestedLoopJoinNode, ctx: ExecContext):
         snapshot = ctx.storage.scan_snapshot(inner_table)
         inner_pages = snapshot.page_ids
         buckets = _build_buckets(snapshot, decode, key_positions)
-        # Probe tasks close over the shared buckets and compiled
-        # residuals — unpicklable, so the exchange stays on threads
-        # whatever REPRO_BACKEND selects for scans.
-        backend = get_backend(ctx.workers, "thread")
+        backend = get_backend(ctx.workers)
         fetch = ctx.storage.buffer.fetch
         merge = ctx.storage.counters.merge
         for outer_batch in outer_source(ctx, outer):
@@ -553,9 +471,7 @@ def parallel_hash_join_driver(node: HashJoinNode, ctx: ExecContext):
             )
             return counters, joined
 
-        # The shared build table and residual closures cannot cross a
-        # process boundary; probes pin to the thread backend.
-        backend = get_backend(ctx.workers, "thread")
+        backend = get_backend(ctx.workers)
         merge = ctx.storage.counters.merge
         for outer_batch in outer_source(ctx, outer):
             tasks = [
@@ -608,12 +524,8 @@ def parallel_aggregate_driver(node: AggregateNode, ctx: ExecContext):
     if not _subquery_free(_scan_exprs(scan_node) + having_exprs):
         return None
     aggregates = tuple(node.aggregates)
-    calls = tuple(
-        AggCallSpec(call.name, position, call.distinct)
-        for call, position in zip(aggregates, arg_positions)
-    )
 
-    def thread_task(pages, relation_id, decode, matcher):
+    def make_task(pages, relation_id, decode, matcher):
         return partial(
             fold_pages,
             pages,
@@ -625,30 +537,10 @@ def parallel_aggregate_driver(node: AggregateNode, ctx: ExecContext):
             aggregates,
         )
 
-    def process_task(pages, relation_id, datatypes, sargs):
-        return partial(
-            run_agg_morsel,
-            AggMorsel(
-                pages,
-                relation_id,
-                datatypes,
-                sargs,
-                key_positions,
-                arg_positions,
-                calls,
-            ),
-        )
-
     def morsel_runs(ctx: ExecContext, outer: EvalEnv | None):
         fetch = ctx.storage.buffer.fetch
         for page_ids, (__, ___, runs) in _morsel_results(
-            scan_node,
-            scan_program,
-            ctx,
-            outer,
-            get_backend(ctx.workers, ctx.backend),
-            thread_task,
-            process_task,
+            scan_node, scan_program, ctx, outer, make_task
         ):
             for page_id in page_ids:
                 fetch(page_id)
@@ -667,9 +559,7 @@ def parallel_run_sorter(ctx: ExecContext, keys):
     sorted slices k-way-merged into one run.
 
     The workspace splits into contiguous slices, each stably sorted on a
-    thread worker (``Row`` objects and key closures do not pickle, so
-    the sort breaker always uses the thread backend), and
-    ``heapq.merge`` reassembles them — equal keys prefer the earlier
+    pool worker, and ``heapq.merge`` reassembles them — equal keys prefer the earlier
     slice, which combined with slice contiguity and per-slice stability
     reproduces the serial stable sort's order exactly.  Run boundaries,
     contents, and temp-list traffic are untouched, so the sort's cost
@@ -678,7 +568,7 @@ def parallel_run_sorter(ctx: ExecContext, keys):
     keys = list(keys)
 
     def sort_run(rows):
-        backend = get_backend(ctx.workers, "thread")
+        backend = get_backend(ctx.workers)
         if backend.workers <= 1 or len(rows) < _SORT_SLICE_MIN_ROWS:
             return _sorted_run(rows, keys)
         slices = [

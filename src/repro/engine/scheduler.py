@@ -1,13 +1,11 @@
-"""One scan kernel, morsel-driven scheduling, pluggable backends.
+"""One scan kernel, morsel-driven scheduling, one worker pool per count.
 
 **The kernel.**  :func:`scan_pages` is the engine's one page loop —
 decode a page, SARG-match below the tuple interface, charge RSI per
 page-aligned chunk of at most ``DEFAULT_BATCH_SIZE`` rows, hand the
-chunk to a *chunk processor* — and every scheduler runs it: thread
+chunk to a *chunk processor* — and every scheduler runs it: pool
 workers call it over a morsel's pages with the chain's compiled
-processor, process workers reach it through the picklable
-:func:`run_scan_morsel` / :func:`run_agg_morsel` wrappers, and the
-serial fused driver applies the same processors over
+processor, and the serial fused driver applies the same processors over
 ``scan.batches()``.  Streaming-group folding is the same kernel with
 :func:`run_folder` as its processor (:func:`fold_pages`).
 
@@ -25,69 +23,40 @@ thread replays ``BufferPool.fetch`` in serial page order as results
 drain.  Rows and counters are therefore bit-identical to the fused
 engine at any worker count and any morsel size.
 
-Three backends sit behind one seam — ``imap(tasks)`` yields results in
-submission order with eager submission:
+Two backends sit behind one seam — ``imap(tasks)`` yields results in
+submission order with eager submission: :class:`SerialBackend` runs
+tasks inline (worker count <= 1), and :class:`ThreadBackend` drives
+compiled closures on a reusable ``ThreadPoolExecutor`` (GIL-bound; wins
+only where workers release the GIL, but the scheduling and counter
+discipline are identical).
 
-- :class:`SerialBackend` runs tasks inline (worker count <= 1).
-- :class:`ThreadBackend` drives compiled closures on a reusable
-  ``ThreadPoolExecutor`` (GIL-bound; wins only where workers release the
-  GIL, but the scheduling and counter discipline are identical).
-- :class:`ProcessBackend` (``REPRO_BACKEND=process``) forks a
-  ``multiprocessing`` pool and ships **picklable morsel specs** —
-  frozen ``(page_id, Page)`` pairs from the scan snapshot plus
-  value-bound SARGs (:class:`~repro.rss.sargs.ConjunctiveSargs`) — to
-  worker processes, which decode, SARG-match, and project with private
-  counters.  This is the first configuration where scan+filter+project
-  uses multiple cores.  Closures never cross the process boundary:
-  drivers whose per-tuple work is an unpicklable compiled closure return
-  raw ``(tid, values)`` chunks and apply the closure at the gather, and
-  the probe/sort exchanges pin themselves to the thread backend.
-
-Pools are registered per ``(kind, workers)`` pair and shut down by
-:func:`shutdown_backends` — wired to ``Database.close()`` and ``atexit``
-so long-lived serving processes do not leak ``repro-worker`` threads or
-forked children.  A later statement simply re-creates pools on demand.
+Pools are keyed by worker count and shared by every database in the
+process.  A database that builds a parallel executor holds them
+(:func:`hold_backends`) until it closes (:func:`release_backends`); the
+last holder's release shuts them down, so a long-lived serving process
+does not leak ``repro-worker`` threads, and closing one database never
+pulls the pool from under a statement another database is running.
+:func:`shutdown_backends` (also run at exit) reclaims them outright; a
+later statement re-creates pools on demand.
 """
 
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from ..datatypes import DataType
 from ..rss.counters import CostCounters
-from ..rss.sargs import ConjunctiveSargs, compile_matcher
 from ..rss.scan import DEFAULT_BATCH_SIZE, decode_page_rows
-from ..rss.tuples import DecodePlan
 from .operators import _AggState
 
 #: Pages per morsel: small enough that no task holds a hot range hostage,
 #: large enough to amortize per-task dispatch.
 DEFAULT_MORSEL_PAGES = 4
-
-#: Every execution backend an entry point may select.
-VALID_BACKENDS = ("thread", "process")
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """The execution backend: ``"thread"`` (default) or ``"process"``.
-
-    ``None`` falls back to the ``REPRO_BACKEND`` environment variable;
-    anything else — including a typo — raises a :class:`ValueError`
-    naming the valid backends rather than silently running serial.
-    """
-    choice = backend or os.environ.get("REPRO_BACKEND", "thread")
-    if choice not in VALID_BACKENDS:
-        raise ValueError(
-            f"unknown backend {choice!r}; valid backends: "
-            + ", ".join(VALID_BACKENDS)
-        )
-    return choice
 
 
 def morsel_pages() -> int:
@@ -135,7 +104,6 @@ def morsel_ranges(count: int, pages: int) -> list[tuple[int, int]]:
 class SerialBackend:
     """Runs tasks inline on the driving thread (worker count <= 1)."""
 
-    kind = "serial"
     workers = 1
 
     def imap(self, tasks) -> Iterator:
@@ -153,8 +121,6 @@ class ThreadBackend:
     ordered — the shape the counter-replay gather needs.
     """
 
-    kind = "thread"
-
     def __init__(self, workers: int):
         self.workers = workers
         self._pool = ThreadPoolExecutor(
@@ -170,66 +136,51 @@ class ThreadBackend:
         self._pool.shutdown(wait=True)
 
 
-class ProcessBackend:
-    """A forked process pool yielding task results in submission order.
-
-    Tasks must be picklable zero-argument callables over picklable data
-    (``functools.partial`` of a module-level function and a frozen
-    morsel spec); results and worker exceptions travel back the same
-    way, so a failed morsel raises at the gather exactly where a thread
-    task would.  Fork start keeps the parent's imports without
-    re-executing them.
-    """
-
-    kind = "process"
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._pool = multiprocessing.get_context("fork").Pool(
-            processes=workers
-        )
-
-    def imap(self, tasks) -> Iterator:
-        results = [self._pool.apply_async(task) for task in tasks]
-        for result in results:
-            yield result.get()
-
-    def shutdown(self) -> None:
-        self._pool.terminate()
-        self._pool.join()
-
-
 _SERIAL = SerialBackend()
 
-Backend = SerialBackend | ThreadBackend | ProcessBackend
+Backend = SerialBackend | ThreadBackend
 
 
 class _BackendRegistry:
-    """Worker pools keyed by ``(kind, workers)``, reused across statements."""
+    """Thread pools keyed by worker count, reused across statements, and
+    the databases holding them (weakly: a database dropped unclosed
+    stops holding)."""
 
     def __init__(self) -> None:
-        # Created and read only by statements' driving threads while no
-        # worker tasks of their own are in flight; workers never reach it.
-        # concurrency: driver-confined
-        self._pools: dict[tuple[str, int], ThreadBackend | ProcessBackend] = {}
+        # Statements of several client threads reach it at once.
+        self._lock = threading.Lock()
+        self._pools: dict[int, ThreadBackend] = {}
+        self._holders: weakref.WeakSet = weakref.WeakSet()
 
-    def get(self, workers: int, kind: str) -> Backend:
+    def get(self, workers: int) -> Backend:
         if workers <= 1:
             return _SERIAL
-        key = (kind, workers)
-        backend = self._pools.get(key)
-        if backend is None:
-            backend = (
-                ProcessBackend(workers)
-                if kind == "process"
-                else ThreadBackend(workers)
-            )
-            self._pools[key] = backend
+        with self._lock:
+            backend = self._pools.get(workers)
+            if backend is None:
+                backend = ThreadBackend(workers)
+                self._pools[workers] = backend
         return backend
 
+    def hold(self, holder: object) -> None:
+        with self._lock:
+            self._holders.add(holder)
+
+    def release(self, holder: object) -> None:
+        with self._lock:
+            self._holders.discard(holder)
+            if self._holders:
+                return
+            pools = list(self._pools.values())
+            self._pools.clear()
+        for pool in pools:
+            pool.shutdown()
+
     def shutdown(self) -> None:
-        pools = list(self._pools.values())
-        self._pools.clear()
+        with self._lock:
+            self._holders.clear()
+            pools = list(self._pools.values())
+            self._pools.clear()
         for pool in pools:
             pool.shutdown()
 
@@ -237,17 +188,26 @@ class _BackendRegistry:
 _REGISTRY = _BackendRegistry()
 
 
-def get_backend(workers: int, kind: str = "thread") -> Backend:
+def get_backend(workers: int) -> Backend:
     """The execution backend for a worker count; pools are reused."""
-    return _REGISTRY.get(workers, kind)
+    return _REGISTRY.get(workers)
+
+
+def hold_backends(holder: object) -> None:
+    """Keep the pools alive until ``holder`` releases them."""
+    _REGISTRY.hold(holder)
+
+
+def release_backends(holder: object) -> None:
+    """Drop ``holder``'s hold; the last hold released shuts the pools down."""
+    _REGISTRY.release(holder)
 
 
 def shutdown_backends() -> None:
-    """Shut down every pooled backend (threads joined, children reaped).
+    """Shut down every pooled backend and forget every holder.
 
-    Wired to ``Database.close()`` and ``atexit`` so serving processes do
-    not leak ``repro-worker`` threads; the next parallel statement simply
-    re-creates its pool through :func:`get_backend`.
+    Run at exit; the next parallel statement re-creates its pool through
+    :func:`get_backend`.
     """
     _REGISTRY.shutdown()
 
@@ -313,12 +273,6 @@ def columns_processor(positions: tuple[int, ...]):
     return process
 
 
-def raw_chunk(chunk):
-    """The pass-through processor: process workers return ``(tid,
-    values)`` chunks for the driver's unpicklable closures."""
-    return chunk
-
-
 def run_folder(
     runs: list[tuple],
     key_positions: tuple[int, ...],
@@ -371,94 +325,3 @@ def fold_pages(
         run_folder(runs, key_positions, arg_positions, calls),
     )
     return counters, len(results), runs
-
-
-# ---------------------------------------------------------------------------
-# picklable morsel payloads (ProcessBackend worker functions)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScanMorsel:
-    """A self-contained scan task a worker process can run from a pickle.
-
-    Pages are materialized driver-side from the scan snapshot (the same
-    counter-free page-store lookup thread tasks are handed); SARGs arrive
-    value-bound — probe and correlation values were already evaluated on
-    the driving thread, which is what the drivers' subquery-free
-    eligibility guarantees is pure — and the matcher is recompiled in
-    the worker via :func:`~repro.rss.sargs.compile_matcher`, the exact
-    factory the serial scan open uses.
-    """
-
-    pages: tuple[tuple[int, object], ...]
-    relation_id: int
-    datatypes: tuple[DataType, ...]
-    sargs: ConjunctiveSargs | None
-    #: When set, workers build bare output tuples via ``itemgetter`` —
-    #: the all-plain-columns fast path; ``None`` returns raw
-    #: ``(tid, values)`` chunks for the driver's compiled closures.
-    out_positions: tuple[int, ...] | None
-
-
-def run_scan_morsel(morsel: ScanMorsel) -> tuple[CostCounters, list[list]]:
-    """One process-pool task: compile the morsel's spec, run the kernel."""
-    datatypes = list(morsel.datatypes)
-    return scan_pages(
-        morsel.pages,
-        morsel.relation_id,
-        DecodePlan(datatypes).decode,
-        compile_matcher(morsel.sargs, datatypes),
-        raw_chunk
-        if morsel.out_positions is None
-        else columns_processor(morsel.out_positions),
-    )
-
-
-@dataclass(frozen=True)
-class AggCallSpec:
-    """A picklable stand-in for ``ast.FuncCall`` inside ``_AggState``.
-
-    ``argument`` carries the argument's column position (``None`` marks
-    ``COUNT(*)``) — the accumulator only ever asks ``argument is None``,
-    ``name``, and ``distinct``.
-    """
-
-    name: str
-    argument: int | None
-    distinct: bool
-
-
-@dataclass(frozen=True)
-class AggMorsel:
-    """A partial-aggregation task a worker process can run from a pickle."""
-
-    pages: tuple[tuple[int, object], ...]
-    relation_id: int
-    datatypes: tuple[DataType, ...]
-    sargs: ConjunctiveSargs | None
-    key_positions: tuple[int, ...]
-    #: Aligned with ``calls``; ``None`` marks ``COUNT(*)``.
-    arg_positions: tuple[int | None, ...]
-    calls: tuple[AggCallSpec, ...]
-
-
-def run_agg_morsel(
-    morsel: AggMorsel,
-) -> tuple[CostCounters, int, list[tuple]]:
-    """One process-pool task: fold a morsel into per-group partial states.
-
-    The gather merges a morsel's first run into its predecessor's last
-    only when they share a key, so the reassembled group sequence is
-    exactly the serial scan-order fold's.
-    """
-    datatypes = list(morsel.datatypes)
-    return fold_pages(
-        morsel.pages,
-        morsel.relation_id,
-        DecodePlan(datatypes).decode,
-        compile_matcher(morsel.sargs, datatypes),
-        morsel.key_positions,
-        morsel.arg_positions,
-        morsel.calls,
-    )

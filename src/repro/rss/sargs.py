@@ -129,25 +129,6 @@ class Sargs:
         return " OR ".join(f"({clause})" for clause in rendered)
 
 
-class ConjunctiveSargs:
-    """An AND of independent DNF SARG expressions.
-
-    Each sargable boolean factor of a query block lowers to one
-    :class:`Sargs` expression; the scan applies their conjunction.  Keeping
-    the factors separate preserves the paper's factor-level selectivity
-    accounting while still evaluating below the RSI.
-    """
-
-    def __init__(self, parts: list[Sargs]):
-        self.parts = parts
-
-    def matches(self, values: tuple) -> bool:
-        return all(part.matches(values) for part in self.parts)
-
-    def is_empty(self) -> bool:
-        return all(part.is_empty() for part in self.parts)
-
-
 # ---------------------------------------------------------------------------
 # compiled matchers
 # ---------------------------------------------------------------------------
@@ -317,7 +298,7 @@ def and_matcher(parts: Iterable[TupleMatcher | None]) -> TupleMatcher | None:
 
 
 def compile_matcher(
-    sargs: "Sargs | ConjunctiveSargs | None",
+    sargs: Sargs | None,
     datatypes: list[DataType] | None = None,
 ) -> TupleMatcher | None:
     """Compile an existing SARG expression into a closure matcher.
@@ -328,8 +309,6 @@ def compile_matcher(
     """
     if sargs is None or sargs.is_empty():
         return None
-    if isinstance(sargs, ConjunctiveSargs):
-        return and_matcher(compile_matcher(part, datatypes) for part in sargs.parts)
     groups: list[list[TupleMatcher]] = []
     for group in sargs.groups:
         compiled_group: list[TupleMatcher] = []

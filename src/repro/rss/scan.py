@@ -56,7 +56,7 @@ from .btree import BTree
 from .buffer import BufferPool
 from .counters import CostCounters
 from .page import Page, TupleId
-from .sargs import ConjunctiveSargs, Sargs, compile_matcher
+from .sargs import Sargs, compile_matcher
 from .segment import Segment
 from .tuples import DecodePlan, record_relation_id
 
@@ -67,7 +67,7 @@ Batch = list[tuple[TupleId, tuple]]
 
 
 def _resolve_matcher(
-    sargs: "Sargs | ConjunctiveSargs | None",
+    sargs: Sargs | None,
     matcher: Callable[[tuple], bool] | None,
     datatypes: list[DataType],
 ) -> Callable[[tuple], bool] | None:
@@ -105,7 +105,7 @@ class SegmentScan:
         datatypes: list[DataType],
         buffer: BufferPool,
         counters: CostCounters,
-        sargs: "Sargs | ConjunctiveSargs | None" = None,
+        sargs: Sargs | None = None,
         matcher: Callable[[tuple], bool] | None = None,
         decode_plan: DecodePlan | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
@@ -205,7 +205,7 @@ class IndexScan:
         high: tuple | None = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-        sargs: "Sargs | ConjunctiveSargs | None" = None,
+        sargs: Sargs | None = None,
         matcher: Callable[[tuple], bool] | None = None,
         decode_plan: DecodePlan | None = None,
         batch_size: int = 1,

@@ -35,7 +35,7 @@ from .disk import DiskManager
 from .faults import get_injector, register_point
 from .page import TupleId
 from .pagestore import PageStore
-from .sargs import ConjunctiveSargs, Sargs
+from .sargs import Sargs
 from .scan import DEFAULT_BATCH_SIZE, IndexScan, SegmentScan
 from .segment import Segment
 from .tuples import DecodePlan, encode_tuple
@@ -64,13 +64,11 @@ class ScanSnapshot:
     get_page: Callable[[int], object]
 
     def freeze_range(self, lo: int, hi: int) -> tuple:
-        """Materialize pages ``lo:hi`` as picklable ``(page_id, Page)`` pairs.
+        """Materialize pages ``lo:hi`` as ``(page_id, Page)`` pairs.
 
-        ``get_page`` is a bound method (often over the live page store or
-        a pinned session version) and cannot cross a process boundary;
-        the pages themselves are plain frozen dataclasses and can.  The
-        driving thread freezes each morsel's pages up front and ships
-        them to the worker process.
+        The driving thread resolves each morsel's pages up front (against
+        the live page store or a pinned session version) and hands the
+        pairs to the worker running the scan kernel.
         """
         return tuple(
             (page_id, self.get_page(page_id))
@@ -106,7 +104,7 @@ class ScanSurface:
     def segment_scan(
         self,
         table: TableDef,
-        sargs: "Sargs | ConjunctiveSargs | None" = None,
+        sargs: Sargs | None = None,
         matcher: Callable[[tuple], bool] | None = None,
         decode_plan: DecodePlan | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
@@ -142,7 +140,7 @@ class ScanSurface:
         high: tuple | None = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-        sargs: "Sargs | ConjunctiveSargs | None" = None,
+        sargs: Sargs | None = None,
         matcher: Callable[[tuple], bool] | None = None,
         decode_plan: DecodePlan | None = None,
         batch_size: int = 1,

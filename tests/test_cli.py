@@ -125,6 +125,35 @@ class TestMetaCommands:
 
 
 class TestMain:
+    @pytest.mark.parametrize(
+        "setting,expected",
+        [
+            ("REPRO_EXEC=bogus", "unknown exec mode 'bogus'"),
+            ("REPRO_EXEC=compiled", "valid modes: fused, parallel, interp"),
+            ("REPRO_WORKERS=0", "bad worker count '0' from REPRO_WORKERS"),
+            ("REPRO_FAULTS=nosuch@1:error", "unknown fault point 'nosuch'"),
+            ("--db", "No such file or directory"),
+        ],
+        ids=["exec", "exec-retired", "workers", "faults", "db-path"],
+    )
+    def test_bad_setting_is_reported_not_raised(
+        self, tmp_path, monkeypatch, capsys, setting, expected
+    ):
+        for name in ("REPRO_EXEC", "REPRO_WORKERS", "REPRO_FAULTS"):
+            monkeypatch.delenv(name, raising=False)
+        script = tmp_path / "empty.sql"
+        script.write_text("")
+        argv = [str(script)]
+        if setting == "--db":
+            argv = ["--db", str(tmp_path / "nosuch" / "x.db"), *argv]
+        else:
+            name, __, value = setting.partition("=")
+            monkeypatch.setenv(name, value)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert expected in err
+
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_script_argument(self, tmp_path, capsys, kind):
         target = tmp_path / "nosuch.sql" if kind == "missing" else tmp_path

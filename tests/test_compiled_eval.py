@@ -1,11 +1,12 @@
-"""Compiled execution ≡ reference interpreter, differentially.
+"""Compiled expression evaluation ≡ reference interpreter, differentially.
 
 The engine compiles bound expressions into closures (``engine/compile.py``)
 while :func:`repro.engine.evaluator.evaluate` stays behind as the executable
-specification.  These tests run the same queries through both modes —
-``exec_mode="compiled"`` and ``exec_mode="interp"`` — over physically
-identical databases and require identical rows, identical cost counters,
-and identical subquery evaluation counts.  A hypothesis sweep generates
+specification.  These tests run the same queries through the engine that
+runs every compiled program — ``exec_mode="fused"`` — and through
+``exec_mode="interp"`` over physically identical databases and require
+identical rows, identical cost counters, and identical subquery
+evaluation counts.  A hypothesis sweep generates
 random predicates (with NULLs in the data, so three-valued logic is
 exercised) on top of the hand-picked corpus.
 """
@@ -21,7 +22,7 @@ from repro.errors import ExecutionError
 from repro.workloads import FIG1_QUERY, build_empdept
 from repro.workloads.empdept import load_rows
 
-MODES = ("compiled", "interp")
+MODES = ("fused", "interp")
 
 
 def _company(exec_mode: str) -> Database:
@@ -136,12 +137,12 @@ def test_modes_agree_on_corpus(company_pair, sql):
         rows_by_mode[mode] = rows
         deltas[mode] = delta
     if "ORDER BY" in sql:
-        assert rows_by_mode["compiled"] == rows_by_mode["interp"]
+        assert rows_by_mode["fused"] == rows_by_mode["interp"]
     else:
-        assert sorted(map(repr, rows_by_mode["compiled"])) == sorted(
+        assert sorted(map(repr, rows_by_mode["fused"])) == sorted(
             map(repr, rows_by_mode["interp"])
         )
-    assert deltas["compiled"] == deltas["interp"]
+    assert deltas["fused"] == deltas["interp"]
 
 
 def test_fig1_query_agrees_with_counters(empdept_pair):
@@ -150,8 +151,8 @@ def test_fig1_query_agrees_with_counters(empdept_pair):
     for mode, db in empdept_pair.items():
         db.storage.cold_cache()
         rows[mode], deltas[mode] = _run(db, FIG1_QUERY)
-    assert sorted(rows["compiled"]) == sorted(rows["interp"])
-    assert deltas["compiled"] == deltas["interp"]
+    assert sorted(rows["fused"]) == sorted(rows["interp"])
+    assert deltas["fused"] == deltas["interp"]
 
 
 def test_correlated_evaluation_counts_identical(company_pair):
@@ -167,7 +168,7 @@ def test_correlated_evaluation_counts_identical(company_pair):
 
         executor.execute(db.plan_query(parse_statement(sql)))
         counts[mode] = dict(executor.last_runtime.evaluation_counts.items())
-    assert list(counts["compiled"].values()) == list(counts["interp"].values())
+    assert list(counts["fused"].values()) == list(counts["interp"].values())
 
 
 def test_division_by_zero_raises_in_both_modes(company_pair):
@@ -268,7 +269,7 @@ def test_random_predicates_agree(sweep_pair, predicate):
     deltas = {}
     for mode, db in sweep_pair.items():
         rows[mode], deltas[mode] = _run(db, sql)
-    assert sorted(map(repr, rows["compiled"])) == sorted(
+    assert sorted(map(repr, rows["fused"])) == sorted(
         map(repr, rows["interp"])
     )
-    assert deltas["compiled"] == deltas["interp"]
+    assert deltas["fused"] == deltas["interp"]

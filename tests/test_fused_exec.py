@@ -1,9 +1,9 @@
-"""Fused pipeline execution ≡ compiled execution ≡ reference interpreter.
+"""Fused pipeline execution ≡ reference interpreter.
 
 The fused engine (``engine/fuse.py``) collapses Scan→Filter→Project
 chains into single per-batch drivers.  Fusion must be invisible: these
-tests run the same queries through ``exec_mode="fused"``, ``"compiled"``,
-and ``"interp"`` over physically identical databases and require
+tests run the same queries through ``exec_mode="fused"`` and
+``"interp"`` over physically identical databases and require
 *exactly ordered* identical rows (fusion may never reorder, even without
 an ORDER BY), identical cost counters, and identical subquery evaluation
 cadence.  A hypothesis predicate sweep rides on top of the hand-picked
@@ -28,7 +28,7 @@ from tests.test_compiled_eval import (
     _run,
 )
 
-MODES = ("fused", "compiled", "interp")
+MODES = ("fused", "interp")
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +58,8 @@ def test_fused_agrees_exactly_on_corpus(company_trio, sql):
     deltas = {}
     for mode, db in company_trio.items():
         rows[mode], deltas[mode] = _run(db, sql)
-    assert rows["fused"] == rows["compiled"]
     assert rows["fused"] == rows["interp"]
-    assert deltas["fused"] == deltas["compiled"] == deltas["interp"]
+    assert deltas["fused"] == deltas["interp"]
 
 
 #: Declared output orders the fused pipeline must reproduce exactly:
@@ -83,13 +82,12 @@ def test_order_by_is_order_exact(empdept_trio, sql):
     deltas = {}
     for mode, db in empdept_trio.items():
         rows[mode], deltas[mode] = _run_mode(db, sql, mode)
-    assert rows["fused"] == rows["compiled"]
     assert rows["fused"] == rows["interp"]
-    assert deltas["fused"] == deltas["compiled"] == deltas["interp"]
+    assert deltas["fused"] == deltas["interp"]
 
 
 def test_correlated_evaluation_cadence_identical(company_trio):
-    """Fused drivers reuse the compiled conjunction closures, so the
+    """Fused drivers reuse the per-operator conjunction closures, so the
     per-referenced-tuple subquery re-evaluation pattern cannot change."""
     sql = (
         "SELECT E.NAME FROM EMPLOYEE E WHERE E.SALARY > "
@@ -100,13 +98,13 @@ def test_correlated_evaluation_cadence_identical(company_trio):
         executor = db.executor()
         executor.execute(db.plan_query(parse_statement(sql)))
         counts[mode] = list(executor.last_runtime.evaluation_counts.values())
-    assert counts["fused"] == counts["compiled"] == counts["interp"]
+    assert counts["fused"] == counts["interp"]
 
 
 def test_fused_is_the_default_mode(monkeypatch):
     monkeypatch.delenv("REPRO_EXEC", raising=False)
     assert resolve_exec_mode() == "fused"
-    assert resolve_exec_mode("compiled") == "compiled"
+    assert resolve_exec_mode("interp") == "interp"
     with pytest.raises(ValueError):
         resolve_exec_mode("vectorized")
 
@@ -135,7 +133,7 @@ def test_dml_executes_under_fused_mode():
 
 
 # ---------------------------------------------------------------------------
-# hypothesis sweep: fused vs compiled over NULL-laden data, order-exact
+# hypothesis sweep: fused vs interp over NULL-laden data, order-exact
 # ---------------------------------------------------------------------------
 
 
@@ -144,7 +142,7 @@ def sweep_trio() -> dict[str, Database]:
     from repro.workloads.empdept import load_rows
 
     pair = {}
-    for mode in ("fused", "compiled"):
+    for mode in MODES:
         db = Database(exec_mode=mode)
         db.execute("CREATE TABLE T (A INTEGER, B INTEGER, S VARCHAR(4))")
         rows = []
@@ -165,5 +163,5 @@ def test_random_predicates_fused_order_exact(sweep_trio, predicate):
     deltas = {}
     for mode, db in sweep_trio.items():
         rows[mode], deltas[mode] = _run(db, sql)
-    assert rows["fused"] == rows["compiled"]
-    assert deltas["fused"] == deltas["compiled"]
+    assert rows["fused"] == rows["interp"]
+    assert deltas["fused"] == deltas["interp"]

@@ -3,10 +3,10 @@
 The corpus mirrors the two crossover shapes of ``repro check --fusion``'s
 hash-join audit: an unindexed large join whose filtered build side fits in
 memory (``partitions == 1``) and a padded join whose build side exceeds the
-buffer pool (grace partitioning).  Every query runs through all four
-execution modes — interp, compiled, fused, parallel at several worker
-counts — over physically identical databases and must produce identical
-rows *and* identical cost counters.  A hypothesis sweep with NULL-laden
+buffer pool (grace partitioning).  Every query runs through all three
+execution modes — interp, fused, parallel at several worker counts —
+over physically identical databases and must produce identical rows
+*and* identical cost counters.  A hypothesis sweep with NULL-laden
 join keys pins three-valued logic (NULL keys never match) against a naive
 Python reference join, and the full fault matrix replays mixed DML whose
 statements plan hash joins under ``REPRO_EXEC=parallel``.
@@ -40,7 +40,7 @@ def _disarm():
     get_injector().disarm()
 
 
-MODES = ("interp", "compiled", "fused", 1, 2, 4)
+MODES = ("interp", "fused", 1, 2, 4)
 
 MEMORY_TABLES = [
     TableSpec(

@@ -1,20 +1,18 @@
-"""Morsel scheduling ≡ fused across backends, morsel sizes, and breakers.
+"""Morsel scheduling ≡ fused across morsel sizes, worker counts, and breakers.
 
 The scheduler (``engine/scheduler.py``) decomposes eligible scans into
-fixed-size page morsels pulled from a shared pool queue, optionally on a
-forked process pool (``REPRO_BACKEND=process``).  Scheduling must be
-invisible: every combination of backend × morsel size × worker count has
-to reproduce the fused engine's rows *in order* and its exact cost
-counters (page fetches, RSI calls, buffer hits).  On top of that ride
-the two parallel breakers (partial aggregation, parallel sort runs),
-pool lifecycle (``Database.close()`` leaves no ``repro-worker`` threads
-or forked children), the full fault matrix and DML under the process
-backend, and loud failures for bad knob values.
+fixed-size page morsels pulled from a shared thread-pool queue.
+Scheduling must be invisible: every combination of morsel size × worker
+count has to reproduce the fused engine's rows *in order* and its exact
+cost counters (page fetches, RSI calls, buffer hits).  On top of that
+ride the two parallel breakers (partial aggregation, parallel sort
+runs), pool lifecycle (the last ``Database.close()`` leaves no
+``repro-worker`` threads, and no other close stops a running
+statement), and loud failures for bad knob values.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 
@@ -29,19 +27,13 @@ from repro.engine.scheduler import (
     get_backend,
     morsel_pages,
     morsel_ranges,
-    resolve_backend,
     shutdown_backends,
 )
+from repro.sql import ast
 from repro.workloads import build_empdept
 from repro.workloads.empdept import load_rows
 
 from tests.test_compiled_eval import _predicates, _run
-from tests.test_faults import (
-    build_db,
-    get_injector,
-    registered_points,
-    run_workload_under_fault,
-)
 
 #: Queries spanning the morsel-scheduled shapes: bare/filtered scans,
 #: direct projection, probe joins, aggregation, and enforced order.
@@ -79,22 +71,18 @@ def _cold_run(db: Database, sql: str):
     return _run(db, sql)
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
 @pytest.mark.parametrize("pages", (1, 3, 7))
-def test_morsel_sizes_and_backends_agree_with_fused(
-    monkeypatch, fused_db, parallel_db, backend, pages
-):
-    """Any morsel size on either backend: rows, order, and counters are
-    bit-identical to fused — the gather replays the serial trace."""
+def test_morsel_sizes_agree_with_fused(monkeypatch, fused_db, parallel_db, pages):
+    """Any morsel size: rows, order, and counters are bit-identical to
+    fused — the gather replays the serial trace."""
     monkeypatch.setenv("REPRO_MORSEL_PAGES", str(pages))
-    parallel_db.backend = backend
     for sql in MORSEL_QUERIES:
         expected = _cold_run(fused_db, sql)
         assert _cold_run(parallel_db, sql) == expected, sql
 
 
 # ---------------------------------------------------------------------------
-# hypothesis sweep: random predicates x morsel sizes x workers x backends
+# hypothesis sweep: random predicates x morsel sizes x workers
 # ---------------------------------------------------------------------------
 
 
@@ -119,14 +107,12 @@ def sweep_pair() -> tuple[Database, Database]:
     predicate=_predicates(),
     pages=st.integers(min_value=1, max_value=9),
     workers=st.sampled_from((1, 2, 4)),
-    backend=st.sampled_from(("thread", "process")),
 )
 def test_random_morsel_schedules_are_order_exact(
-    sweep_pair, predicate, pages, workers, backend
+    sweep_pair, predicate, pages, workers
 ):
     fused, parallel = sweep_pair
     parallel.workers = workers
-    parallel.backend = backend
     sql = f"SELECT A, B, S FROM T WHERE {predicate}"
     saved = os.environ.get("REPRO_MORSEL_PAGES")
     os.environ["REPRO_MORSEL_PAGES"] = str(pages)
@@ -165,18 +151,27 @@ def test_close_leaves_no_worker_threads_alive():
     assert _worker_threads() == []
 
 
-def test_close_reaps_process_pool_children():
+def test_closing_another_database_spares_a_running_statement():
+    """A hash-join probe submits pool tasks per outer batch, so it needs
+    its pool after the first row; closing a database that holds no pool
+    must not shut it down under the statement."""
+    from repro.analysis.check import hashjoin_corpus
+
     shutdown_backends()
-    assert multiprocessing.active_children() == []
-    db = Database(exec_mode="parallel", workers=2, backend="process")
-    db.execute("CREATE TABLE T (A INTEGER)")
-    for i in range(50):
-        db.execute(f"INSERT INTO T VALUES ({i})")
-    db.execute("UPDATE STATISTICS")
-    assert db.execute("SELECT COUNT(*) FROM T WHERE A >= 10").scalar() == 40
-    assert multiprocessing.active_children(), "no forked workers were used"
+    db = hashjoin_corpus()[0][0]
+    db.exec_mode = "parallel"
+    db.workers = 2
+    rows = db.executor().execute_rows(
+        db.plan(
+            "SELECT T1.A, T2.J1 FROM T1, T2 "
+            "WHERE T1.J1 = T2.J1 AND T1.A < 40"
+        )
+    )
+    next(rows)
+    Database().close()
+    assert 1 + sum(1 for __ in rows) == 14983
     db.close()
-    assert multiprocessing.active_children() == []
+    assert _worker_threads() == []
 
 
 def test_pools_recreate_after_close():
@@ -196,43 +191,51 @@ def test_pools_recreate_after_close():
     second.close()
 
 
+def test_racing_statements_share_one_pool_per_worker_count():
+    """Client threads reaching the registry at once all get the same
+    pool; a lost update would leave an orphan pool no shutdown reaches."""
+    import sys
+
+    shutdown_backends()
+    clients = 8
+    barrier = threading.Barrier(clients)
+    pools = []
+
+    def fetch_pool():
+        barrier.wait(timeout=10)
+        pools.append(get_backend(3))
+
+    threads = [threading.Thread(target=fetch_pool) for __ in range(clients)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(pools) == clients
+    assert all(pool is pools[0] for pool in pools)
+    shutdown_backends()
+
+
 def test_backend_registry_reuses_pools():
     shutdown_backends()
-    assert get_backend(2, "thread") is get_backend(2, "thread")
-    assert get_backend(2, "thread") is not get_backend(4, "thread")
-    assert get_backend(2, "thread") is not get_backend(2, "process")
+    assert get_backend(2) is get_backend(2)
+    assert get_backend(2) is not get_backend(4)
     shutdown_backends()
 
 
-def test_serial_backend_for_one_worker_any_kind():
-    assert isinstance(get_backend(1, "thread"), SerialBackend)
-    assert isinstance(get_backend(1, "process"), SerialBackend)
-    assert isinstance(get_backend(0, "process"), SerialBackend)
+def test_serial_backend_for_one_worker():
+    assert isinstance(get_backend(1), SerialBackend)
+    assert isinstance(get_backend(0), SerialBackend)
 
 
 # ---------------------------------------------------------------------------
 # knob plumbing: loud failures, not silent defaults
 # ---------------------------------------------------------------------------
-
-
-def test_unknown_backend_lists_valid_backends(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    with pytest.raises(ValueError) as caught:
-        resolve_backend("gpu")
-    assert "gpu" in str(caught.value)
-    assert "thread" in str(caught.value)
-    assert "process" in str(caught.value)
-
-
-def test_unknown_backend_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "ray")
-    with pytest.raises(ValueError, match="valid backends"):
-        Database()
-
-
-def test_database_rejects_bad_backend():
-    with pytest.raises(ValueError):
-        Database(backend="cluster")
 
 
 @pytest.mark.parametrize("text", ("0", "-3", "x", "2.5"))
@@ -272,26 +275,15 @@ def test_morsel_ranges_cover_every_page_once(count, pages):
 def test_every_scheduler_runs_the_same_scan_kernel(
     agg_pair, sql, sarg, positions
 ):
-    """Same pages + SARGs + processor through the kernel directly, the
-    serial fused driver, the thread backend, and ``run_scan_morsel`` on
-    the process backend: identical RSI charges and identical chunks."""
+    """Same pages + SARGs + processor through the kernel directly, its
+    morsels on the thread pool, the serial fused driver, and the
+    parallel driver: identical RSI charges and identical chunks."""
     from functools import partial
 
     from repro.engine.executor import Runtime, _context_for
     from repro.engine.fuse import _output_program
-    from repro.engine.scheduler import (
-        ScanMorsel,
-        columns_processor,
-        run_scan_morsel,
-        scan_pages,
-    )
-    from repro.rss.sargs import (
-        CompareOp,
-        ConjunctiveSargs,
-        SargPredicate,
-        Sargs,
-        compile_matcher,
-    )
+    from repro.engine.scheduler import columns_processor, scan_pages
+    from repro.rss.sargs import CompareOp, SargPredicate, Sargs, compile_matcher
     from repro.rss.tuples import DecodePlan
 
     db, __ = agg_pair
@@ -300,9 +292,9 @@ def test_every_scheduler_runs_the_same_scan_kernel(
     sargs = None
     if sarg is not None:
         position, op, value = sarg
-        sargs = ConjunctiveSargs(
-            [Sargs([[SargPredicate(position, CompareOp(op), value)]])]
-        )
+        sargs = Sargs([[SargPredicate(position, CompareOp(op), value)]])
+    decode = DecodePlan(datatypes).decode
+    matcher = compile_matcher(sargs, datatypes)
     snapshot = db.storage.scan_snapshot(table)
     page_count = len(snapshot.page_ids)
     assert page_count > 2 * 3, "need several morsels"
@@ -314,8 +306,8 @@ def test_every_scheduler_runs_the_same_scan_kernel(
     counters, pages = scan_pages(
         snapshot.freeze_range(0, page_count),
         snapshot.relation_id,
-        DecodePlan(datatypes).decode,
-        compile_matcher(sargs, datatypes),
+        decode,
+        matcher,
         columns_processor(positions),
     )
     assert counters.page_fetches == 0, "the kernel never touches the buffer"
@@ -323,40 +315,33 @@ def test_every_scheduler_runs_the_same_scan_kernel(
 
     tasks = [
         partial(
-            run_scan_morsel,
-            ScanMorsel(
-                snapshot.freeze_range(lo, hi),
-                snapshot.relation_id,
-                tuple(datatypes),
-                sargs,
-                positions,
-            ),
+            scan_pages,
+            snapshot.freeze_range(lo, hi),
+            snapshot.relation_id,
+            decode,
+            matcher,
+            columns_processor(positions),
         )
         for lo, hi in morsel_ranges(page_count, 3)
     ]
     merged, shipped = type(counters)(), []
-    for morsel_counters, morsel_out in get_backend(2, "process").imap(tasks):
+    for morsel_counters, morsel_out in get_backend(2).imap(tasks):
         merged.merge(morsel_counters)
         shipped.extend(morsel_out)
     assert flatten(merged, shipped) == expected
 
     planned = db.plan(sql)
-    for mode, backend in (
-        ("fused", "thread"),
-        ("parallel", "thread"),
-        ("parallel", "process"),
-    ):
+    for mode in ("fused", "parallel"):
         runtime = Runtime(
-            db.storage, db.catalog, planned,
-            exec_mode=mode, workers=2, backend=backend,
+            db.storage, db.catalog, planned, exec_mode=mode, workers=2
         )
         ctx = _context_for(runtime, planned)
         db.storage.cold_cache()
         before = db.counters.snapshot()
         chunks = list(_output_program(planned.root, ctx)(ctx, None))
         delta = before.delta(db.counters)
-        assert (delta.rsi_calls, chunks) == expected, (mode, backend)
-        assert delta.page_fetches == page_count, (mode, backend)
+        assert (delta.rsi_calls, chunks) == expected, mode
+        assert delta.page_fetches == page_count, mode
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +376,11 @@ def agg_pair() -> tuple[Database, Database]:
     return databases[0], databases[1]
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
 @pytest.mark.parametrize("workers", (2, 4))
 @pytest.mark.parametrize("sql", AGG_QUERIES)
-def test_partial_aggregation_agrees_with_serial(
-    agg_pair, sql, workers, backend
-):
+def test_partial_aggregation_agrees_with_serial(agg_pair, sql, workers):
     fused, parallel = agg_pair
     parallel.workers = workers
-    parallel.backend = backend
     assert _cold_run(parallel, sql) == _cold_run(fused, sql)
 
 
@@ -426,7 +407,6 @@ def test_parallel_aggregate_driver_engages(agg_pair):
 def test_empty_input_ungrouped_aggregates_yield_one_row(agg_pair):
     fused, parallel = agg_pair
     parallel.workers = 4
-    parallel.backend = "thread"
     from repro.errors import SemanticError
 
     for db in (fused, parallel):
@@ -441,10 +421,16 @@ def test_empty_input_ungrouped_aggregates_yield_one_row(agg_pair):
     assert _cold_run(parallel, sql) == expected
 
 
+def _call(name: str, argument: int | None, distinct: bool) -> ast.FuncCall:
+    """An aggregate call as the fold sees it: ``argument`` is the column
+    position it reads, ``None`` for ``COUNT(*)``."""
+    column = None if argument is None else ast.ColumnRef(None, f"C{argument}")
+    return ast.FuncCall(name, column, distinct)
+
+
 def test_agg_state_merge_matches_serial_fold():
     """Partial states merged across any split reproduce the serial fold."""
     from repro.engine.operators import _AggState
-    from repro.engine.scheduler import AggCallSpec
 
     values = [3, None, 7, 3, -2, None, 11, 3, 0, 7]
     for name in ("COUNT", "SUM", "MIN", "MAX", "AVG"):
@@ -452,7 +438,7 @@ def test_agg_state_merge_matches_serial_fold():
             for argument in (None, 0):
                 if argument is None and (distinct or name != "COUNT"):
                     continue
-                call = AggCallSpec(name, argument, distinct)
+                call = _call(name, argument, distinct)
                 serial = _AggState(call)
                 for value in values:
                     serial.add(None if argument is None else value)
@@ -468,16 +454,9 @@ def test_agg_state_merge_matches_serial_fold():
                     )
 
 
-@pytest.mark.parametrize("path", ("process", "thread"))
-def test_run_agg_morsel_emits_runs_in_first_occurrence_order(path):
-    """The worker fold keeps streaming (adjacency) group semantics, as a
-    pickled ``AggMorsel`` and as the thread backend's direct kernel call."""
-    from repro.engine.scheduler import (
-        AggCallSpec,
-        AggMorsel,
-        fold_pages,
-        run_agg_morsel,
-    )
+def test_fold_pages_emits_runs_in_first_occurrence_order():
+    """The worker fold keeps streaming (adjacency) group semantics."""
+    from repro.engine.scheduler import fold_pages
     from repro.rss.tuples import DecodePlan
 
     db = Database()
@@ -487,34 +466,16 @@ def test_run_agg_morsel_emits_runs_in_first_occurrence_order(path):
     db.execute("UPDATE STATISTICS")
     table = db.catalog.table("G")
     snapshot = db.storage.scan_snapshot(table)
-    pages = snapshot.freeze_range(0, len(snapshot.page_ids))
-    datatypes = tuple(column.datatype for column in table.columns)
-    calls = (
-        AggCallSpec("COUNT", None, False),
-        AggCallSpec("SUM", 1, False),
+    datatypes = [column.datatype for column in table.columns]
+    counters, page_count, runs = fold_pages(
+        snapshot.freeze_range(0, len(snapshot.page_ids)),
+        snapshot.relation_id,
+        DecodePlan(datatypes).decode,
+        None,
+        (0,),
+        (None, 1),
+        (_call("COUNT", None, False), _call("SUM", 1, False)),
     )
-    if path == "process":
-        counters, page_count, runs = run_agg_morsel(
-            AggMorsel(
-                pages=pages,
-                relation_id=snapshot.relation_id,
-                datatypes=datatypes,
-                sargs=None,
-                key_positions=(0,),
-                arg_positions=(None, 1),
-                calls=calls,
-            )
-        )
-    else:
-        counters, page_count, runs = fold_pages(
-            pages,
-            snapshot.relation_id,
-            DecodePlan(list(datatypes)).decode,
-            None,
-            (0,),
-            (None, 1),
-            calls,
-        )
     assert page_count == len(snapshot.page_ids)
     # Streaming semantics: key 1 reappearing after 3 opens a new run.
     assert [key for key, __, ___, ____ in runs] == [(1,), (2,), (3,), (1,)]
@@ -568,85 +529,16 @@ def test_parallel_run_sorter_matches_serial_incl_ties():
     db.close()
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
-def test_order_by_large_input_agrees_under_parallel_sort(backend):
+def test_order_by_large_input_agrees_under_parallel_sort():
     """End-to-end ORDER BY above the slice threshold: rows, order, and
     sort temp traffic (counters) identical to fused."""
     fused = build_empdept(employees=1500, departments=24, seed=7)
     parallel = build_empdept(employees=1500, departments=24, seed=7)
     parallel.exec_mode = "parallel"
     parallel.workers = 4
-    parallel.backend = backend
     sql = "SELECT ENO, NAME, SAL FROM EMP ORDER BY SAL DESC, NAME"
     expected = _cold_run(fused, sql)
     assert len(expected[0]) == 1500
     assert _cold_run(parallel, sql) == expected
     fused.close()
     parallel.close()
-
-
-# ---------------------------------------------------------------------------
-# DML and the fault matrix under REPRO_BACKEND=process
-# ---------------------------------------------------------------------------
-
-
-def test_dml_executes_under_process_backend():
-    db = Database(exec_mode="parallel", workers=2, backend="process")
-    db.execute("CREATE TABLE T (A INTEGER, B INTEGER)")
-    for i in range(20):
-        db.execute(f"INSERT INTO T VALUES ({i}, {i * 10})")
-    db.execute("UPDATE STATISTICS")
-    db.execute("UPDATE T SET B = -1 WHERE A >= 10")
-    assert db.execute("SELECT COUNT(*) FROM T WHERE B = -1").scalar() == 10
-    db.execute("DELETE FROM T WHERE A < 5")
-    assert db.execute("SELECT COUNT(*) FROM T").scalar() == 15
-    db.close()
-
-
-#: Every registered fault point, hit once, alternating error/crash, with
-#: parallel scans shipping morsels to forked workers while the driving
-#: thread owns all storage mutation.
-PROCESS_FAULT_MATRIX = [
-    (point, "error" if index % 2 == 0 else "crash")
-    for index, point in enumerate(sorted(registered_points()))
-]
-
-
-@pytest.mark.parametrize(
-    "point,action",
-    PROCESS_FAULT_MATRIX,
-    ids=[f"{p}:{a}" for p, a in PROCESS_FAULT_MATRIX],
-)
-def test_fault_matrix_under_process_backend(tmp_path, monkeypatch, point, action):
-    from repro.analysis.storage_check import logical_dump, verify_storage
-    from repro.errors import SimulatedCrash
-    from repro.rss.disk import DiskManager
-    from repro.rss.faults import FaultPlan
-
-    monkeypatch.setenv("REPRO_EXEC", "parallel")
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    monkeypatch.setenv("REPRO_BACKEND", "process")
-    db = build_db(tmp_path / "db.pages")
-    plan = FaultPlan(point, hit=1, action=action)
-    mirror, error, failed_at, fired = run_workload_under_fault(db, plan)
-    get_injector().disarm()
-
-    assert fired, f"{plan!r} never fired under the process backend"
-    assert error is not None
-
-    if action == "error":
-        assert not isinstance(error, SimulatedCrash)
-        assert logical_dump(db) == mirror
-        assert verify_storage(db) == []
-        db.close()
-    else:
-        assert isinstance(error, SimulatedCrash)
-        assert error.snapshot is not None
-        db.close()
-        restored = DiskManager.restore(
-            error.snapshot, tmp_path / "recovered.pages"
-        )
-        survivor = Database(path=str(restored))
-        assert logical_dump(survivor) == mirror
-        assert verify_storage(survivor) == []
-        survivor.close()

@@ -178,7 +178,7 @@ def test_database_rejects_nonpositive_workers():
 @pytest.mark.parametrize("mode", ("fuzed", "parallel:0", "fused:2"))
 def test_database_rejects_bad_exec_mode_at_construction(monkeypatch, mode):
     """A mode typo fails before any INSERT can commit, like ``workers``
-    and ``backend`` — not at the first SELECT."""
+    — not at the first SELECT."""
     monkeypatch.delenv("REPRO_EXEC", raising=False)
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     with pytest.raises(ValueError):

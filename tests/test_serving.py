@@ -328,7 +328,7 @@ def test_commit_lock_fault_point_error_and_crash(tmp_path):
 
 
 @pytest.mark.parametrize("handle", ["database", "session"])
-@pytest.mark.parametrize("mode", ["interp", "compiled", "fused", "parallel"])
+@pytest.mark.parametrize("mode", ["interp", "fused", "parallel"])
 def test_pipeline_counters_bit_identical_to_engine(mode, handle):
     """The pinned pipeline costs exactly what a bare executor over the
     live engine costs (the tests' reference read path)."""
@@ -359,27 +359,6 @@ def test_pipeline_counters_bit_identical_to_engine(mode, handle):
         db.counters.buffer_hits,
     ) == counters
     db.close()
-
-
-def test_session_select_runs_on_the_databases_backend(monkeypatch):
-    """A session executes with the database's backend, not ``REPRO_BACKEND``."""
-    import multiprocessing
-
-    from repro.engine.scheduler import shutdown_backends
-
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    shutdown_backends()
-    assert multiprocessing.active_children() == []
-    db = Database(exec_mode="parallel", workers=2, backend="process")
-    db.execute("CREATE TABLE T (A INTEGER)")
-    values = ", ".join(f"({i})" for i in range(50))
-    db.execute(f"INSERT INTO T VALUES {values}")
-    db.execute("UPDATE STATISTICS")
-    with db.session() as session:
-        assert session.execute("SELECT COUNT(*) FROM T WHERE A >= 10").scalar() == 40
-    assert multiprocessing.active_children(), "the session ran on threads"
-    db.close()
-    assert multiprocessing.active_children() == []
 
 
 # -- the stress harness at acceptance scale ----------------------------------
