@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint verify analyze test bench
+.PHONY: check lint verify test bench
 
 check: lint verify test
 
@@ -27,11 +27,6 @@ lint:
 # Plan-check + cost-audit the whole workload corpus (see repro.analysis).
 verify:
 	$(PYTHON) -m repro check
-
-# The whole-program analyses only (effect rules, shared-mutable-state
-# report vs the committed baseline, dead code) — CI's analysis-gate job.
-analyze:
-	$(PYTHON) -m repro check --effects --concurrency --dead-code
 
 test:
 	$(PYTHON) -m pytest -q

@@ -2,8 +2,9 @@
 
 Selinger-style optimizers fail *silently*: a wrong selectivity clamp or a
 bad prune in the DP search still produces a plan — just a worse one.  This
-package proves, without executing anything, that every emitted plan and
-every cost computation obeys the paper's invariants:
+package checks that every emitted plan and every cost computation obeys
+the paper's invariants, and that the code and the stored data obey the
+project's own:
 
 - :mod:`repro.analysis.plan_check` walks a plan tree and asserts
   structural invariants (catalog references resolve, column bindings bind,
@@ -15,29 +16,19 @@ every cost computation obeys the paper's invariants:
   project rules over ``src/repro`` (no float ``==`` in cost code, no
   mutable default arguments, counters mutated only inside ``rss/``,
   exhaustive plan-node dispatch in every plan walker).
-- :mod:`repro.analysis.dataflow` parses the whole package into a symbol
-  table, call graph, and mutation records — the substrate for the
-  whole-program passes (including the dead-code pass).
-- :mod:`repro.analysis.effects` infers per-function effect signatures
-  (pure / reads-global / writes-global / mutates-param / mutates-self /
-  IO) and propagates them transitively through the call graph.
-- :mod:`repro.analysis.concurrency` consumes the graph and signatures to
-  produce the shared-mutable-state report: every interference point the
-  ROADMAP's parallelism items must guard, classified and gated by the
-  committed ``concurrency_baseline.toml``.
+- :mod:`repro.analysis.storage_check` audits the storage invariants
+  (index/tuple agreement, page reachability, checksums) across durable,
+  torn-page and crash/recover scenarios.
 
 Everything is exposed through ``repro check
-[--plans|--costs|--lint|--storage|--fusion|--effects|--concurrency|--dead-code]``
-and, for plan checking, through the ``REPRO_CHECK=1`` environment flag
-which validates every ``plan_query()`` result at planning time.
+[--plans|--costs|--lint|--storage|--fusion]`` and, for plan checking,
+through the ``REPRO_CHECK=1`` environment flag, which validates every
+``plan_query()`` result at planning time.
 """
 
 from __future__ import annotations
 
-from .concurrency import ConcurrencyReport, Finding, analyze_concurrency
 from .cost_audit import audit_cost_model, audit_search_stats, audit_statement
-from .dataflow import ProgramGraph, find_dead_code
-from .effects import EffectSignature, infer_effects
 from .lint import lint_repo
 from .plan_check import (
     PlanCheckError,
@@ -48,20 +39,13 @@ from .plan_check import (
 )
 
 __all__ = [
-    "ConcurrencyReport",
-    "EffectSignature",
-    "Finding",
     "PlanCheckError",
-    "ProgramGraph",
     "Violation",
-    "analyze_concurrency",
     "audit_cost_model",
     "audit_search_stats",
     "audit_statement",
     "check_plan",
     "check_statement",
-    "find_dead_code",
-    "infer_effects",
     "lint_repo",
     "verify_planned",
 ]

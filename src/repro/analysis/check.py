@@ -1,6 +1,6 @@
 """The ``repro check`` driver: run the static analyses over real corpora.
 
-Eight sub-checks, all on by default:
+Five sub-checks, all on by default:
 
 - ``--plans`` plans every query of the EMP/DEPT/JOB workload (under every
   optimizer configuration) and a stream of generated chain/star join
@@ -19,28 +19,15 @@ Eight sub-checks, all on by default:
   cost counters, and subquery evaluation cadence are bit-identical —
   fused chains must preserve every declared output order, not just row
   sets.
-- ``--effects`` infers per-function effect signatures over the whole
-  program (:mod:`repro.analysis.effects`) and enforces the effect rules:
-  planning layers (``optimizer/``, ``sql/``, ``catalog/``) perform no
-  direct IO, and module-level rebinding stays confined to the fault
-  registry.
-- ``--concurrency`` emits the shared-mutable-state report
-  (:mod:`repro.analysis.concurrency`) and fails on unguarded state not
-  acknowledged by the committed ``analysis/concurrency_baseline.toml``.
-- ``--dead-code`` reports functions unreachable from the entry points,
-  the test/benchmark trees, and registered walkers.
 
-``--json`` switches every selected section to one machine-readable JSON
-document on stdout.  Exit status is non-zero when any violation is found.
+Exit status is non-zero when any violation is found.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
-from pathlib import Path
 from typing import Callable
 
 from ..database import Database
@@ -55,10 +42,7 @@ from ..workloads.generator import (
     random_star_spec,
     star_join_query,
 )
-from .concurrency import analyze_concurrency, render_report
 from .cost_audit import audit_cost_model
-from .dataflow import ProgramGraph, find_dead_code
-from .effects import effects_summary, infer_effects
 from .lint import lint_repo
 from .plan_check import PlanCheckError, Violation
 from .storage_check import check_storage
@@ -200,13 +184,11 @@ def _random_star_query(
 
 
 # ---------------------------------------------------------------------------
-# the three checks
+# the checks
 # ---------------------------------------------------------------------------
 
 
-def check_plans(
-    queries: int = 200, seed: int = 271828, echo: Callable[[str], None] = print
-) -> list[Violation]:
+def check_plans(queries: int = 200, seed: int = 271828) -> list[Violation]:
     """Verify every corpus query's plan; returns all violations."""
     violations: list[Violation] = []
     planned = 0
@@ -215,13 +197,13 @@ def check_plans(
             for sql in EMPDEPT_QUERIES:
                 _verify_query(db, sql, violations, use_heuristic, use_orders)
                 planned += 1
-    echo(f"  empdept: {planned} plans verified")
+    print(f"  empdept: {planned} plans verified")
     generated = 0
     for db, batch in generated_batches(queries, seed):
         for sql in batch:
             _verify_query(db, sql, violations)
             generated += 1
-    echo(f"  generated: {generated} plans verified")
+    print(f"  generated: {generated} plans verified")
     return violations
 
 
@@ -238,7 +220,7 @@ def _empty_relation_database() -> Database:
     return db
 
 
-def check_costs(echo: Callable[[str], None] = print) -> list[Violation]:
+def check_costs() -> list[Violation]:
     """Audit the cost model against every corpus catalog."""
     violations: list[Violation] = []
     audited = 0
@@ -254,14 +236,14 @@ def check_costs(echo: Callable[[str], None] = print) -> list[Violation]:
             audit_cost_model(db.catalog, db.w, db.storage.buffer.capacity)
         )
         audited += 1
-    echo(f"  cost model audited against {audited} catalogs")
+    print(f"  cost model audited against {audited} catalogs")
     return violations
 
 
-def check_lint(echo: Callable[[str], None] = print) -> list[Violation]:
+def check_lint() -> list[Violation]:
     """Run the project lint over ``src/repro``."""
     violations = lint_repo()
-    echo("  lint pass over src/repro complete")
+    print("  lint pass over src/repro complete")
     return violations
 
 
@@ -429,9 +411,7 @@ def hashjoin_corpus() -> list[tuple[Database, list[str]]]:
     ]
 
 
-def check_fusion(
-    queries: int = 40, seed: int = 662607, echo: Callable[[str], None] = print
-) -> list[Violation]:
+def check_fusion(queries: int = 40, seed: int = 662607) -> list[Violation]:
     """Differential audit of every engine mode against the interpreted one.
 
     ``REPRO_WORKERS`` sets the parallel worker count (default 2), so CI
@@ -456,7 +436,7 @@ def check_fusion(
             chains += audited
             hash_joins += hashed
             executed += 1
-    echo(f"  empdept: {executed} queries: interp vs fused/parallel({workers})")
+    print(f"  empdept: {executed} queries: interp vs fused/parallel({workers})")
     generated = 0
     for db, batch in generated_batches(queries, seed):
         for sql in batch:
@@ -466,7 +446,7 @@ def check_fusion(
             chains += audited
             hash_joins += hashed
             generated += 1
-    echo(f"  generated: {generated} queries: interp vs fused/parallel({workers})")
+    print(f"  generated: {generated} queries: interp vs fused/parallel({workers})")
     hashed_queries = 0
     for db, batch in hashjoin_corpus():
         for sql in batch:
@@ -485,122 +465,15 @@ def check_fusion(
                         "join — the corpus no longer exercises the operator",
                     )
                 )
-    echo(
+    print(
         f"  hashjoin: {hashed_queries} queries: interp vs "
         f"fused/parallel({workers})"
     )
-    echo(
+    print(
         f"  {chains} fused chains and {hash_joins} hash joins audited "
         "for order and counter fidelity"
     )
     return violations
-
-
-# ---------------------------------------------------------------------------
-# whole-program analysis checks (dataflow / effects / concurrency)
-# ---------------------------------------------------------------------------
-
-#: Module prefixes whose functions must not perform IO directly: planning
-#: is deterministic and storage-free by construction.
-_IO_FREE_PREFIXES = ("optimizer/", "sql/", "catalog/")
-
-#: Modules allowed a direct module-global write (import-time registration).
-_GLOBAL_WRITERS = frozenset({"rss/faults.py"})
-
-
-def check_effects(
-    echo: Callable[[str], None] = print,
-    root: Path | None = None,
-    report: dict | None = None,
-) -> list[Violation]:
-    """Infer effect signatures and enforce the project's effect rules."""
-    graph = ProgramGraph.build(root)
-    signatures = infer_effects(graph)
-    summary = effects_summary(signatures)
-    echo(
-        f"  {summary['total']} functions: {summary['pure']} pure, "
-        f"{summary['io']} io, {summary['writes-global']} write globals, "
-        f"{summary['mutates-self']} mutate self (transitively)"
-    )
-    if report is not None:
-        report["summary"] = summary
-        report["signatures"] = {
-            q: sorted(s.transitive) for q, s in sorted(signatures.items())
-        }
-    violations: list[Violation] = []
-    for qualname, signature in sorted(signatures.items()):
-        module = graph.functions[qualname].module
-        if "io" in signature.direct and module.startswith(_IO_FREE_PREFIXES):
-            sites = [d for e, d in signature.sites if e == "io"]
-            violations.append(
-                Violation(
-                    "effect-planner-io",
-                    qualname,
-                    f"direct IO in a planning-layer module ({sites[0]}); "
-                    "planning must stay deterministic and storage-free",
-                )
-            )
-        if (
-            "writes-global" in signature.direct
-            and module not in _GLOBAL_WRITERS
-        ):
-            sites = [d for e, d in signature.sites if e == "writes-global"]
-            violations.append(
-                Violation(
-                    "effect-global-write",
-                    qualname,
-                    f"writes module-level state ({sites[0]}); shared "
-                    "globals defeat the parallelism ROADMAP — keep state "
-                    "on per-statement objects",
-                )
-            )
-    return violations
-
-
-def check_concurrency(
-    echo: Callable[[str], None] = print,
-    root: Path | None = None,
-    baseline: Path | None = None,
-    report: dict | None = None,
-) -> list[Violation]:
-    """The shared-mutable-state report, gated by the committed baseline."""
-    graph = ProgramGraph.build(root)
-    result = analyze_concurrency(graph, baseline_path=baseline)
-    for line in render_report(result):
-        echo(f"  {line}")
-    if report is not None:
-        report["findings"] = [f.as_dict() for f in result.findings]
-    return result.violations
-
-
-def check_dead_code(
-    echo: Callable[[str], None] = print,
-    root: Path | None = None,
-    consumers: list[Path] | None = None,
-) -> list[Violation]:
-    """Functions unreachable from the entry points and external consumers."""
-    graph = ProgramGraph.build(root)
-    if consumers is None:
-        consumers = [
-            path
-            for path in (
-                _repo_root() / "tests",
-                _repo_root() / "benchmarks",
-                _repo_root() / "examples",
-            )
-            if path.is_dir()
-        ]
-    violations = find_dead_code(graph, consumer_roots=consumers)
-    echo(
-        f"  {len(graph.functions)} functions checked for reachability "
-        f"against {len(consumers)} consumer tree(s)"
-    )
-    return violations
-
-
-def _repo_root() -> Path:
-    """The repository root (three levels above this package module)."""
-    return Path(__file__).resolve().parent.parent.parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +482,7 @@ def _repo_root() -> Path:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """``repro check [--<section> ...] [--json]`` — exit 0 when clean."""
+    """``repro check [--<section> ...]`` — exit 0 when clean."""
     parser = argparse.ArgumentParser(
         prog="repro check",
         description="statically verify optimizer plans, costs, and code",
@@ -634,40 +507,6 @@ def main(argv: list[str] | None = None) -> int:
         help="differentially execute the corpus interp vs fused vs parallel",
     )
     parser.add_argument(
-        "--effects",
-        action="store_true",
-        help="infer effect signatures and enforce the effect rules",
-    )
-    parser.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="shared-mutable-state report against the committed baseline",
-    )
-    parser.add_argument(
-        "--dead-code",
-        action="store_true",
-        help="report functions unreachable from the entry points",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit one machine-readable JSON document instead of text",
-    )
-    parser.add_argument(
-        "--root",
-        type=Path,
-        default=None,
-        help="alternate package root for the whole-program analyses "
-        "(fixture trees in tests)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="alternate concurrency baseline file (default: the "
-        "committed analysis/concurrency_baseline.toml)",
-    )
-    parser.add_argument(
         "--queries",
         type=int,
         default=200,
@@ -678,103 +517,33 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     run_all = not (
-        args.plans
-        or args.costs
-        or args.lint
-        or args.storage
-        or args.fusion
-        or args.effects
-        or args.concurrency
-        or args.dead_code
+        args.plans or args.costs or args.lint or args.storage or args.fusion
     )
 
-    echo: Callable[[str], None] = (lambda line: None) if args.json else print
-    reports: dict[str, dict] = {}
-
-    def analysis_report(name: str) -> dict:
-        return reports.setdefault(name, {})
-
-    failures = 0
     sections: list[tuple[str, Callable[[], list[Violation]]]] = []
     if run_all or args.lint:
-        sections.append(("lint", lambda: check_lint(echo=echo)))
-    if run_all or args.effects:
-        sections.append(
-            (
-                "effects",
-                lambda: check_effects(
-                    echo=echo,
-                    root=args.root,
-                    report=analysis_report("effects"),
-                ),
-            )
-        )
-    if run_all or args.concurrency:
-        sections.append(
-            (
-                "concurrency",
-                lambda: check_concurrency(
-                    echo=echo,
-                    root=args.root,
-                    baseline=args.baseline,
-                    report=analysis_report("concurrency"),
-                ),
-            )
-        )
-    if run_all or args.dead_code:
-        sections.append(
-            ("dead-code", lambda: check_dead_code(echo=echo, root=args.root))
-        )
+        sections.append(("lint", check_lint))
     if run_all or args.costs:
-        sections.append(("costs", lambda: check_costs(echo=echo)))
+        sections.append(("costs", check_costs))
     if run_all or args.storage:
-        sections.append(("storage", lambda: check_storage(echo=echo)))
+        sections.append(("storage", check_storage))
     if run_all or args.fusion:
-        sections.append(
-            ("fusion", lambda: check_fusion(seed=args.seed, echo=echo))
-        )
+        sections.append(("fusion", lambda: check_fusion(seed=args.seed)))
     if run_all or args.plans:
-        sections.append(
-            ("plans", lambda: check_plans(args.queries, args.seed, echo=echo))
-        )
+        sections.append(("plans", lambda: check_plans(args.queries, args.seed)))
 
-    results: dict[str, list[Violation]] = {}
+    failures = 0
     for name, runner in sections:
-        if not args.json:
-            print(f"check --{name}:")
+        print(f"check --{name}:")
         violations = runner()
-        results[name] = violations
         failures += len(violations)
-        if not args.json:
-            if violations:
-                for violation in violations:
-                    print(f"  FAIL {violation}")
-            else:
-                print("  ok")
-    if args.json:
-        document = {
-            "ok": failures == 0,
-            "failures": failures,
-            "sections": {
-                name: {
-                    "ok": not violations,
-                    "violations": [
-                        {
-                            "rule": v.rule,
-                            "where": v.where,
-                            "message": v.message,
-                        }
-                        for v in violations
-                    ],
-                    "report": reports.get(name, {}),
-                }
-                for name, violations in results.items()
-            },
-        }
-        print(json.dumps(document, indent=2, sort_keys=True))
+        if violations:
+            for violation in violations:
+                print(f"  FAIL {violation}")
+        else:
+            print("  ok")
     if failures:
         print(f"repro check: {failures} violation(s)", file=sys.stderr)
         return 1
-    if not args.json:
-        print("repro check: all checks passed")
+    print("repro check: all checks passed")
     return 0

@@ -79,7 +79,7 @@ _FLOAT_ATTRS = frozenset(
 )
 
 #: Calls whose results are float-valued costs.
-_FLOAT_METHODS = frozenset({"total", "scaled", "weighted_cost"})
+_FLOAT_METHODS = frozenset({"total", "scaled"})
 
 #: Counter fields that only ``rss/`` may mutate.
 _COUNTER_FIELDS = frozenset({"page_fetches", "rsi_calls", "buffer_hits"})

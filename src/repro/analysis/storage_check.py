@@ -26,7 +26,7 @@ torn-page demonstration, and a deterministic crash/recover loop.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..errors import RecoveryError, StorageError, TornPageError
 from ..rss.btree import orderable_key
@@ -303,7 +303,7 @@ def _run_workload(db: "Database") -> None:
         db.execute(sql)
 
 
-def check_storage(echo: Callable[[str], None] = print) -> list[Violation]:
+def check_storage() -> list[Violation]:
     """The ``repro check --storage`` section: four scenarios, one report."""
     import os
     import tempfile
@@ -318,7 +318,7 @@ def check_storage(echo: Callable[[str], None] = print) -> list[Violation]:
     db = Database()
     _run_workload(db)
     violations.extend(verify_storage(db))
-    echo("  in-memory workload verified")
+    print("  in-memory workload verified")
 
     with tempfile.TemporaryDirectory() as tmp:
         # 2. ... and after a durable workload, before and after re-open
@@ -339,7 +339,7 @@ def check_storage(echo: Callable[[str], None] = print) -> list[Violation]:
                 )
             )
         reopened.close()
-        echo("  durable workload verified (before and after re-open)")
+        print("  durable workload verified (before and after re-open)")
 
         # 3. a torn page in the closed backing file is detected on open.
         # Flip bytes inside a *committed* frame (read the page table to
@@ -359,9 +359,9 @@ def check_storage(echo: Callable[[str], None] = print) -> list[Violation]:
         try:
             Database(path=path)
         except TornPageError as error:
-            echo(f"  torn page detected on open: {error}")
+            print(f"  torn page detected on open: {error}")
         except RecoveryError as error:
-            echo(f"  torn page table detected on open: {error}")
+            print(f"  torn page table detected on open: {error}")
         else:
             violations.append(
                 Violation(
@@ -415,5 +415,5 @@ def check_storage(echo: Callable[[str], None] = print) -> list[Violation]:
                     )
                 )
             survivor.close()
-        echo("  crash/recover loop verified at every commit fault point")
+        print("  crash/recover loop verified at every commit fault point")
     return violations

@@ -102,7 +102,7 @@ class Catalog:
         if key in self._indexes:
             raise CatalogError(f"index {name!r} already exists")
         table = self.table(table_name)
-        positions = [table.column_position(column.upper()) for column in column_names]
+        positions = table.distinct_positions(column_names, "CREATE INDEX")
         if clustered and any(
             existing.clustered for existing in self.indexes_on(table.name)
         ):

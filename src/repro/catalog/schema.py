@@ -6,6 +6,7 @@ catalog that owns them lives in :mod:`repro.catalog.catalog`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..datatypes import DataType
@@ -63,6 +64,24 @@ class TableDef:
             raise SemanticError(
                 f"table {self.name!r} has no column {column_name!r}"
             ) from None
+
+    def distinct_positions(
+        self, column_names: Iterable[str], clause: str
+    ) -> list[int]:
+        """Positions of ``column_names``; a column named twice is an error.
+
+        ``clause`` names the statement part in the message (``INSERT``,
+        ``SET``, ``CREATE INDEX``).
+        """
+        positions: list[int] = []
+        for name in column_names:
+            position = self.column_position(name.upper())
+            if position in positions:
+                raise SemanticError(
+                    f"column {name.upper()!r} named twice in {clause}"
+                )
+            positions.append(position)
+        return positions
 
     def column(self, column_name: str) -> Column:
         """The column definition for a name; raises on unknown names."""

@@ -185,13 +185,12 @@ class Shell:
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro``.
 
-    ``python -m repro check [--plans|--costs|--lint|--storage|--fusion|
-    --effects|--concurrency|--dead-code]`` runs the static verification
-    suite and ``python -m repro stress [--clients N|--fault SPEC|
-    --fault-smoke]`` the concurrent-serving stress harness instead of the
-    shell.  ``--db PATH`` opens (or creates) a durable database backed by
-    ``PATH``; any other arguments are read as SQL script files before the
-    interactive prompt starts.  Fault plans in ``REPRO_FAULTS`` (e.g.
+    ``python -m repro check [--plans|--costs|--lint|--storage|--fusion]``
+    runs the verification suite and ``python -m repro stress [--clients
+    N|--fault SPEC|--fault-smoke]`` the concurrent-serving stress harness
+    instead of the shell.  ``--db PATH`` opens (or creates) a durable
+    database backed by ``PATH``; any other arguments are read as SQL
+    script files before the interactive prompt starts.  Fault plans in ``REPRO_FAULTS`` (e.g.
     ``pagetable.flip@1:crash``) are armed before the first statement.  A
     bad setting (``REPRO_EXEC``, ``REPRO_WORKERS``, ``REPRO_FAULTS``), a
     database path that cannot be opened, or a script that cannot be read

@@ -121,7 +121,7 @@ class Database:
             self.storage, timeout=commit_timeout
         )
         self._close_lock = threading.Lock()
-        self._closed = False  # concurrency: lock-guarded
+        self._closed = False
 
     # -- configuration ------------------------------------------------------------
 
@@ -385,10 +385,7 @@ class Database:
         if statement.column_names is None:
             positions = list(range(len(table.columns)))
         else:
-            positions = [
-                table.column_position(name.upper())
-                for name in statement.column_names
-            ]
+            positions = table.distinct_positions(statement.column_names, "INSERT")
         if statement.source is not None:
             # INSERT ... SELECT: run the query first, then load its rows
             # (materialized, so inserting into the scanned table is safe).
@@ -430,14 +427,14 @@ class Database:
     def _update(self, statement: ast.UpdateStmt) -> StatementResult:
         table = self.catalog.table(statement.table_name)
         indexes = self.catalog.indexes_on(table.name)
+        positions = table.distinct_positions(
+            (column for column, __ in statement.assignments), "SET"
+        )
         planned, rows = self._target_rows(statement.table_name, statement.where)
         alias = table.name
         assignments = [
-            (
-                table.column_position(column.upper()),
-                self._bind_dml_expr(expr, table, alias),
-            )
-            for column, expr in statement.assignments
+            (position, self._bind_dml_expr(expr, table, alias))
+            for position, (__, expr) in zip(positions, statement.assignments)
         ]
         runtime = Runtime(self.storage, self.catalog, planned)
         count = 0

@@ -24,7 +24,7 @@ from .rows import AGGREGATE_ALIAS, Row
 
 
 @dataclass
-class EvalEnv:  # concurrency: statement-scoped
+class EvalEnv:
     """A row plus the chain of enclosing rows and the runtime services."""
 
     row: Row
@@ -184,10 +184,9 @@ def _in_subquery(expr: ast.InSubquery, env: EvalEnv) -> bool | None:
 def like_regex(like_pattern: str) -> re.Pattern[str]:
     """The compiled regex for a LIKE pattern (``%`` → ``.*``, ``_`` → ``.``).
 
-    Pure on purpose: an earlier module-level memo dict here was flagged by
-    ``repro check --concurrency`` (rule ``unguarded-parallel-state``) —
-    it was written from inside plan compilation, which the parallel PRs
-    put on worker threads.  The compiled path already calls this once per
+    Pure on purpose: an earlier module-level memo dict here was written
+    from inside plan compilation, which parallel execution runs on worker
+    threads.  The compiled path already calls this once per
     plan (``engine/compile.py``), and the interpreter path rides
     ``re.compile``'s internal cache, so the memo bought nothing.
     """

@@ -119,7 +119,7 @@ def resolve_exec_mode(exec_mode: str | None = None) -> str:
     return resolve_exec_settings(exec_mode)[0]
 
 
-class Runtime:  # concurrency: statement-scoped
+class Runtime:
     """Cross-block execution services for one statement.
 
     ``exec_mode`` and ``workers`` arrive already resolved (one of
@@ -271,7 +271,7 @@ def _context_for(runtime: Runtime, planned: PlannedStatement) -> ExecContext:
     )
 
 
-class Executor:  # concurrency: statement-scoped
+class Executor:
     """Runs planned statements against a storage engine."""
 
     def __init__(

@@ -726,7 +726,7 @@ def _iter_sort(
 # ---------------------------------------------------------------------------
 
 
-class _AggState:  # concurrency: statement-scoped
+class _AggState:
     """Accumulator for one aggregate call within one group."""
 
     def __init__(self, call: ast.FuncCall):

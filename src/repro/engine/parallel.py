@@ -20,9 +20,9 @@ counters bit-identical to ``fused`` (``repro check --fusion`` checks it):
 - **RSI calls** are order-independent sums.  Every worker counts into its
   own private :class:`~repro.rss.counters.CostCounters` and the driving
   thread folds them into the statement's counters with
-  :meth:`~repro.rss.counters.CostCounters.merge` as results drain — the
-  summation-at-the-gather the concurrency report's ``mergeable-counter``
-  class is machine-proven to permit.
+  :meth:`~repro.rss.counters.CostCounters.merge` as results drain; the
+  sum is exact because counters only ever increment outside
+  :class:`~repro.rss.counters.CostCounters`.
 - **Page fetches and buffer hits** depend on LRU order, so workers never
   touch the buffer pool: they read frozen pages directly from the page
   store (a plain dict lookup with no counter effects), and the driving

@@ -22,7 +22,7 @@ from .rows import Row
 _TEMP_RELATION_ID = 0
 
 
-class TempList:  # concurrency: statement-scoped
+class TempList:
     """A materialized, sequentially readable list of composite rows."""
 
     def __init__(

@@ -57,7 +57,7 @@ class _Scope:
         )
 
 
-class Binder:  # concurrency: statement-scoped
+class Binder:
     """Binds SELECT statements against a catalog."""
 
     def __init__(self, catalog: Catalog):
@@ -313,7 +313,7 @@ class Binder:  # concurrency: statement-scoped
                 )
 
 
-class _BlockState:  # concurrency: statement-scoped
+class _BlockState:
     """Mutable accumulation while binding one block."""
 
     def __init__(self, block_id: int):

@@ -81,7 +81,7 @@ class BlockTable:
 
 
 @dataclass
-class BoundQueryBlock:  # concurrency: statement-scoped
+class BoundQueryBlock:
     """A name-resolved query block.
 
     ``correlated_columns`` lists the outer-block columns this block (or any

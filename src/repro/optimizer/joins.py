@@ -115,7 +115,7 @@ class SearchStats:
         )
 
 
-class JoinSearch:  # concurrency: statement-scoped
+class JoinSearch:
     """One DP search over a bound query block's FROM list."""
 
     def __init__(

@@ -31,7 +31,7 @@ OrderKey = tuple[int, ...]  # canonical: tuple of equivalence-class ids
 UNORDERED: OrderKey = ()
 
 
-class InterestingOrders:  # concurrency: statement-scoped
+class InterestingOrders:
     """Equivalence classes plus the set of orders worth keeping plans for."""
 
     def __init__(

@@ -49,7 +49,7 @@ class BufferPool:
         # handle) and never touch the pool; only statement-issuing threads
         # call fetch()/note_fetch(), replaying the serial LRU trace at
         # gather points.
-        self._resident: OrderedDict[int, None] = OrderedDict()  # concurrency: lock-guarded
+        self._resident: OrderedDict[int, None] = OrderedDict()
 
     def note_fetch(self, page_id: int) -> None:
         """Account one page access: LRU update plus hit/fetch counting."""

@@ -41,9 +41,9 @@ class CostCounters:
         Parallel drivers give every worker its own ``CostCounters`` and
         the driving thread merges them at the gather point.  Summation is
         exact because every counter mutation outside this class is an
-        increment (``repro check --concurrency`` proves it, rule
-        ``counter-not-mergeable``), so per-worker partial sums recompose
-        into the serial totals regardless of completion order.
+        increment, so per-worker partial sums recompose into the serial
+        totals regardless of completion order (``repro check --fusion``
+        compares them with the serial engine's).
         """
         self.page_fetches += other.page_fetches
         self.rsi_calls += other.rsi_calls
@@ -58,8 +58,7 @@ class CostCounters:
 
         Lifecycle writes (reset/restore) live here, next to the fields:
         every mutation *outside* this class must be an increment so
-        per-worker counter copies stay mergeable by summation
-        (``repro check --concurrency``, rule ``counter-not-mergeable``).
+        per-worker counter copies stay mergeable by summation.
         """
         self.page_fetches = saved.page_fetches
         self.rsi_calls = saved.rsi_calls
@@ -81,8 +80,3 @@ class CounterSnapshot:
             counters.rsi_calls - self.rsi_calls,
             counters.buffer_hits - self.buffer_hits,
         )
-
-    # repro: keep — the paper's COST = PAGE FETCHES + W * RSI CALLS formula
-    def weighted_cost(self, w: float) -> float:
-        """Measured cost under the paper's formula for a given W."""
-        return self.page_fetches + w * self.rsi_calls

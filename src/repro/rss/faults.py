@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 
 #: Every fault point name declared by the storage layer, in declaration
 #: order.  ``register_point`` adds to this; tests iterate it.
-_REGISTERED: dict[str, str] = {}  # concurrency: immutable-after-init
+_REGISTERED: dict[str, str] = {}
 
 
 def register_point(name: str, description: str) -> str:

@@ -55,13 +55,13 @@ class Page:
         if data is None:
             # Page bytes mutate only on the driving thread (DML drains all
             # workers before any write); scan workers only read them.
-            self.data = bytearray(PAGE_SIZE)  # concurrency: driver-confined
+            self.data = bytearray(PAGE_SIZE)
             self._set_header(0, _HEADER_SIZE)
         else:
             if len(data) != PAGE_SIZE:
                 raise StorageError(f"page must be {PAGE_SIZE} bytes")
             self.data = data
-        self.dirty = False  # concurrency: driver-confined
+        self.dirty = False
 
     # -- header helpers ---------------------------------------------------
 

@@ -87,25 +87,25 @@ class PageStore:
         #: snapshot readers and temp-page allocation from worker threads
         #: stay consistent with the single in-flight writer.
         self._lock = threading.RLock()
-        self._pages: dict[int, object] = {}  # concurrency: lock-guarded
-        self._next_id = 1  # concurrency: lock-guarded
-        self._temp_ids: set[int] = set()  # concurrency: lock-guarded
+        self._pages: dict[int, object] = {}
+        self._next_id = 1
+        self._temp_ids: set[int] = set()
         self.disk = disk
         if disk is not None:
             self._next_id = max(self._next_id, disk.next_page_id)
         self._in_tx = False
-        self._frames: list[_TxFrame] = []  # concurrency: lock-guarded
+        self._frames: list[_TxFrame] = []
         #: Page ids swapped to writable clones since ``begin`` (any frame).
-        self._writable: set[int] = set()  # concurrency: lock-guarded
+        self._writable: set[int] = set()
         #: Page ids allocated since ``begin`` (any frame).
-        self._allocated_ids: set[int] = set()  # concurrency: lock-guarded
+        self._allocated_ids: set[int] = set()
         #: Committed-transaction counter; bumped once per commit.
-        self.version = 0  # concurrency: lock-guarded
+        self.version = 0
         #: version -> number of readers pinned at it.
-        self._pins: dict[int, int] = {}  # concurrency: lock-guarded
+        self._pins: dict[int, int] = {}
         #: (commit version, page id -> pre-image) entries, oldest first,
         #: retained only while a pin older than the entry exists.
-        self._history: list[tuple[int, dict[int, object]]] = []  # concurrency: lock-guarded
+        self._history: list[tuple[int, dict[int, object]]] = []
 
     # -- allocation ---------------------------------------------------------
 

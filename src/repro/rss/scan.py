@@ -118,7 +118,7 @@ class SegmentScan:
         self._matcher = _resolve_matcher(sargs, matcher, datatypes)
         self._plan = decode_plan or DecodePlan(datatypes)
         self._batch_size = batch_size
-        # concurrency: statement-scoped — owned by the driving statement
+        # Owned by the driving statement.
         self._decode_cache = decode_cache
         #: The segment's page list frozen at open: the scan's view of the
         #: segment, immune to pages appended or freed while it runs, and
@@ -223,7 +223,7 @@ class IndexScan:
         self._matcher = _resolve_matcher(sargs, matcher, datatypes)
         self._plan = decode_plan or DecodePlan(datatypes)
         self._batch_size = batch_size
-        # concurrency: statement-scoped — owned by the driving statement
+        # Owned by the driving statement.
         self._decode_cache = decode_cache
 
     def batches(self) -> Iterator[Batch]:

@@ -41,7 +41,7 @@ class Segment:
         self._buffer = buffer
         # Mutated only by DML on the driving thread; parallel scans freeze
         # their view with ScanSnapshot (a tuple copy) before fanning out.
-        self.page_ids: list[int] = []  # concurrency: driver-confined
+        self.page_ids: list[int] = []
 
     # -- modification ------------------------------------------------------
 

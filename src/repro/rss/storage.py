@@ -188,8 +188,10 @@ class StorageEngine(ScanSurface):
         #: Catalog recovered from the backing file, if any.
         self.recovered_catalog: object | None = None
         #: Undo metadata of the open transaction; ``None`` when none is.
-        self._batch_meta = None  # concurrency: driver-confined
-        self._crashed = False  # concurrency: driver-confined
+        #: It and ``_crashed`` are touched only by the single in-flight
+        #: writer, so they need no latch.
+        self._batch_meta = None
+        self._crashed = False
         #: Guards re-publication of the frozen committed-metadata snapshot.
         self._meta_latch = threading.Lock()
         if disk is not None:

@@ -90,11 +90,11 @@ class GroupCommitCoordinator:
         self._engine = engine
         self._commit_lock = CommitLock(timeout, initial_backoff, max_backoff)
         self._queue_lock = threading.Lock()
-        self._queue: deque[_Ticket] = deque()  # concurrency: lock-guarded
+        self._queue: deque[_Ticket] = deque()
         self._stats_lock = threading.Lock()
-        self.batches_committed = 0  # concurrency: lock-guarded
-        self.statements_committed = 0  # concurrency: lock-guarded
-        self.largest_batch = 0  # concurrency: lock-guarded
+        self.batches_committed = 0
+        self.statements_committed = 0
+        self.largest_batch = 0
 
     @property
     def timeout(self) -> float:

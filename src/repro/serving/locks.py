@@ -77,9 +77,9 @@ class RWLatch:
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
-        self._readers = 0  # concurrency: lock-guarded
-        self._writer_active = False  # concurrency: lock-guarded
-        self._writers_waiting = 0  # concurrency: lock-guarded
+        self._readers = 0
+        self._writer_active = False
+        self._writers_waiting = 0
 
     @contextmanager
     def shared(self):

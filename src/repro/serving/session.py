@@ -26,7 +26,6 @@ from ..rss.storage import CommittedMeta, ScanSurface, StorageEngine
 from ..sql import ast, parse_statement
 
 
-# concurrency: statement-scoped
 class SnapshotStorage(ScanSurface):
     """The storage read surface as of one pinned version.
 
@@ -91,7 +90,6 @@ class SnapshotStorage(ScanSurface):
         return tree
 
 
-# concurrency: driver-confined — a session is owned by one client thread
 class Session:
     """One client's handle on a shared database.
 

@@ -57,9 +57,8 @@ SERVING_FAULT_POINTS = (
 )
 
 
+# One log per client thread, read only after every client has been joined.
 @dataclass
-# one log per client thread, read only after every client has been joined
-# concurrency: driver-confined
 class ClientLog:
     """What one client did and saw; merged after the threads join."""
 
@@ -97,9 +96,6 @@ class StressViolation:
 
 
 @dataclass
-# built by the harness after every client has been joined; the client-loop
-# mutation sites are name-based attribution to ClientLog's field names
-# concurrency: driver-confined
 class StressReport:
     """The verdict of one stress run."""
 

@@ -59,7 +59,7 @@ class Token:
         return repr(self.value)
 
 
-class Lexer:  # concurrency: statement-scoped
+class Lexer:
     """Streaming tokenizer over SQL text."""
 
     def __init__(self, text: str):

@@ -38,7 +38,7 @@ _COMPARE_OPS = {
 }
 
 
-class Parser:  # concurrency: statement-scoped
+class Parser:
     """Parses one SQL statement from text."""
 
     def __init__(self, text: str):

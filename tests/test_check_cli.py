@@ -1,9 +1,7 @@
 """``repro check`` exit codes and report formats across the sub-checks.
 
-The whole-program sections (``--effects`` / ``--concurrency`` /
-``--dead-code``) run for real against fixture trees via ``--root`` /
-``--baseline`` — each with a seeded violation proving the check can fail
-— and against ``src/repro`` proving it passes.  The corpus sections
+The lint runs for real against ``src/repro`` (it passes) and against a
+fixture tree seeded with a violation (it fails).  The corpus sections
 (``--storage``, ``--fusion``, ``--plans``, ``--costs``) are exercised for
 dispatch and exit-code plumbing with stubbed runners: their multi-minute
 corpora have their own tests, and the plumbing is what this file owns.
@@ -11,7 +9,6 @@ corpora have their own tests, and the plumbing is what this file owns.
 
 from __future__ import annotations
 
-import json
 import textwrap
 
 import pytest
@@ -28,52 +25,9 @@ def write(tmp_path, relative, source):
     path.write_text(textwrap.dedent(source), encoding="utf-8")
 
 
-def seeded_tree(tmp_path):
-    """A fixture package with one unguarded module-level global."""
-    write(
-        tmp_path,
-        "pkg/m.py",
-        """
-        CACHE = {}
-
-        def memo(key, value):
-            CACHE[key] = value
-        """,
-    )
-    return tmp_path / "pkg"
-
-
-def empty_baseline(tmp_path):
-    path = tmp_path / "baseline.toml"
-    path.write_text("", encoding="utf-8")
-    return path
-
-
 # ---------------------------------------------------------------------------
 # exit codes on the real tree
 # ---------------------------------------------------------------------------
-
-
-def test_effects_passes_on_the_real_tree(capsys):
-    assert check_main(["--effects"]) == 0
-    out = capsys.readouterr().out
-    assert "check --effects:" in out
-    assert "pure" in out
-    assert "all checks passed" in out
-
-
-def test_concurrency_passes_on_the_real_tree(capsys):
-    assert check_main(["--concurrency"]) == 0
-    out = capsys.readouterr().out
-    assert "check --concurrency:" in out
-    assert "mergeable-counter" in out
-    assert "statement-scoped" in out
-
-
-def test_dead_code_passes_on_the_real_tree(capsys):
-    assert check_main(["--dead-code"]) == 0
-    out = capsys.readouterr().out
-    assert "checked for reachability" in out
 
 
 def test_lint_passes_on_the_real_tree(capsys):
@@ -87,66 +41,8 @@ def test_cli_dispatches_check(capsys):
 
 
 # ---------------------------------------------------------------------------
-# seeded failures: every whole-program section can actually fail
+# seeded failure: the lint can actually fail
 # ---------------------------------------------------------------------------
-
-
-def test_effects_fails_on_seeded_global_write(tmp_path, capsys):
-    root = seeded_tree(tmp_path)
-    assert check_main(["--effects", "--root", str(root)]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "effect-global-write" in out
-    assert "memo" in out
-
-
-def test_concurrency_fails_on_seeded_unguarded_global(tmp_path, capsys):
-    root = seeded_tree(tmp_path)
-    code = check_main(
-        [
-            "--concurrency",
-            "--root",
-            str(root),
-            "--baseline",
-            str(empty_baseline(tmp_path)),
-        ]
-    )
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "unguarded-shared-state" in out
-    assert "m.py::CACHE" in out
-
-
-def test_concurrency_seeded_failure_clears_with_baseline(tmp_path, capsys):
-    root = seeded_tree(tmp_path)
-    baseline = tmp_path / "baseline.toml"
-    baseline.write_text(
-        '["m.py::CACHE"]\n'
-        'classification = "UNGUARDED"\n'
-        'reason = "fixture: acknowledged for the exit-code test"\n',
-        encoding="utf-8",
-    )
-    code = check_main(
-        ["--concurrency", "--root", str(root), "--baseline", str(baseline)]
-    )
-    assert code == 0
-    assert "all checks passed" in capsys.readouterr().out
-
-
-def test_dead_code_fails_on_seeded_orphan(tmp_path, capsys):
-    write(
-        tmp_path,
-        "pkg/m.py",
-        """
-        def zzz_orphan_nobody_calls():
-            return 1
-        """,
-    )
-    code = check_main(["--dead-code", "--root", str(tmp_path / "pkg")])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "dead-code" in out
-    assert "zzz_orphan_nobody_calls" in out
 
 
 def test_lint_fails_on_seeded_mutable_default(tmp_path, capsys, monkeypatch):
@@ -162,7 +58,7 @@ def test_lint_fails_on_seeded_mutable_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         check_module,
         "check_lint",
-        lambda echo=print: check_module.lint_repo(tmp_path / "pkg"),
+        lambda: check_module.lint_repo(tmp_path / "pkg"),
     )
     assert check_main(["--lint"]) == 1
     assert "mutable-default" in capsys.readouterr().out
@@ -201,94 +97,23 @@ def test_corpus_section_violation_exit(flag, runner, capsys, monkeypatch):
     assert "1 violation(s)" in captured.err
 
 
+#: Every section ``repro check`` runs with no flags, in run order.
+_ALL_SECTIONS = ("lint", "costs", "storage", "fusion", "plans")
+
+
 def test_run_all_covers_every_section(capsys, monkeypatch):
     ran = []
-    for runner in (
-        "check_lint",
-        "check_effects",
-        "check_concurrency",
-        "check_dead_code",
-        "check_costs",
-        "check_storage",
-        "check_fusion",
-        "check_plans",
-    ):
+    for section in _ALL_SECTIONS:
         monkeypatch.setattr(
             check_module,
-            runner,
-            lambda *a, __name=runner, **kw: ran.append(__name) or [],
+            f"check_{section}",
+            lambda *a, __name=section, **kw: ran.append(__name) or [],
         )
     assert check_main([]) == 0
-    assert len(ran) == 8
-    out = capsys.readouterr().out
-    for section in (
-        "lint",
-        "effects",
-        "concurrency",
-        "dead-code",
-        "costs",
-        "storage",
-        "fusion",
-        "plans",
-    ):
-        assert f"check --{section}:" in out
-
-
-# ---------------------------------------------------------------------------
-# --json: one machine-readable document
-# ---------------------------------------------------------------------------
-
-
-def test_json_reports_effects_and_concurrency(capsys):
-    assert check_main(["--effects", "--concurrency", "--json"]) == 0
-    document = json.loads(capsys.readouterr().out)
-    assert document["ok"] is True
-    assert document["failures"] == 0
-    effects = document["sections"]["effects"]
-    assert effects["ok"] is True
-    assert effects["violations"] == []
-    summary = effects["report"]["summary"]
-    assert summary["total"] > 500
-    assert summary["pure"] > 0
-    signatures = effects["report"]["signatures"]
-    assert "optimizer/cost.py::CostModel.segment_scan_cost" in signatures
-    concurrency = document["sections"]["concurrency"]
-    findings = {f["key"]: f for f in concurrency["report"]["findings"]}
-    counters = findings["rss/counters.py::CostCounters.page_fetches"]
-    assert counters["classification"] == "mergeable-counter"
-    assert counters["kind"] == "counter-field"
-
-
-def test_json_failure_document_carries_violations(tmp_path, capsys):
-    root = seeded_tree(tmp_path)
-    code = check_main(
-        [
-            "--concurrency",
-            "--json",
-            "--root",
-            str(root),
-            "--baseline",
-            str(empty_baseline(tmp_path)),
-        ]
-    )
-    assert code == 1
-    captured = capsys.readouterr()
-    document = json.loads(captured.out)
-    assert document["ok"] is False
-    assert document["failures"] == 1
-    violation = document["sections"]["concurrency"]["violations"][0]
-    assert violation["rule"] == "unguarded-shared-state"
-    assert violation["where"] == "m.py::CACHE"
-    # the human narration stays off stdout so the document parses clean
-    assert captured.out.lstrip().startswith("{")
-
-
-def test_json_suppresses_section_narration(capsys, monkeypatch):
-    monkeypatch.setattr(check_module, "check_lint", lambda *a, **kw: [])
-    assert check_main(["--lint", "--json"]) == 0
-    document = json.loads(capsys.readouterr().out)
-    assert document["sections"]["lint"] == {
-        "ok": True,
-        "violations": [],
-        "report": {},
-    }
+    assert ran == list(_ALL_SECTIONS)
+    headers = [
+        line
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("check --")
+    ]
+    assert headers == [f"check --{section}:" for section in _ALL_SECTIONS]

@@ -1,9 +1,14 @@
 """Tests for the interactive SQL shell."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import Shell, format_table, main
 
 
@@ -159,3 +164,38 @@ class TestMain:
         target = tmp_path / "nosuch.sql" if kind == "missing" else tmp_path
         assert main([str(target)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+#: Verified planning, the stress harness's storage audit, and ``repro
+#: check`` with ``tomllib`` unimportable, as it is on Python 3.10.
+_WITHOUT_TOMLLIB = """
+import sys
+sys.modules["tomllib"] = None
+
+from repro import Database
+db = Database()
+db.execute("CREATE TABLE T (A INTEGER)")
+db.execute("INSERT INTO T VALUES (1)")
+assert db.execute("SELECT A FROM T WHERE A = 1").rows == [(1,)]
+
+import repro.serving.stress
+from repro.analysis.storage_check import verify_storage
+assert verify_storage(db) == []
+
+from repro.cli import main
+assert main(["check", "--lint"]) == 0
+"""
+
+
+def test_runs_without_tomllib():
+    src = Path(repro.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "REPRO_CHECK": "1"}
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_TOMLLIB],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

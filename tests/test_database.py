@@ -91,6 +91,24 @@ class TestInsert:
             db.execute("INSERT INTO T VALUES (1)")
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "INSERT INTO T (A, A) VALUES (1, 2)",
+        "UPDATE T SET A = 5, A = 6",
+        "CREATE INDEX I ON T (A, A)",
+    ],
+    ids=["insert", "update", "create-index"],
+)
+def test_column_named_twice_is_rejected(db, sql):
+    db.execute("CREATE TABLE T (A INTEGER, B INTEGER)")
+    db.execute("INSERT INTO T VALUES (1, 1)")
+    with pytest.raises(SemanticError, match="'A' named twice"):
+        db.execute(sql)
+    assert db.execute("SELECT A, B FROM T").rows == [(1, 1)]
+    assert db.catalog.indexes_on("T") == []
+
+
 class TestUpdateDelete:
     def test_update_with_where(self, people):
         result = people.execute("UPDATE P SET AGE = 26 WHERE NAME = 'BOB'")
