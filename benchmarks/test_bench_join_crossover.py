@@ -9,13 +9,22 @@ index.  Nested loops must rescan the inner segment per outer tuple (cost
 grows linearly with the outer); sort-merge pays a one-time sort.  The bench
 locates the crossover in both predicted and measured cost and checks the
 optimizer switches methods on the right side of it.
+
+The experiment runs in the paper-faithful mode (``REPRO_HASHJOIN=0``): §5
+weighs exactly these two methods, and with hash join in the search the
+optimizer answers the large outer with a hash join instead.
 """
 
 from conftest import measure_cold, weighted
 from repro import Database
 from repro.baselines import LeftDeepBuilder
 from repro.optimizer.binder import Binder
-from repro.optimizer.plan import MergeJoinNode, NestedLoopJoinNode, walk_plan
+from repro.optimizer.plan import (
+    HashJoinNode,
+    MergeJoinNode,
+    NestedLoopJoinNode,
+    walk_plan,
+)
 from repro.optimizer.predicates import to_cnf_factors
 from repro.sql import parse_statement
 from repro.workloads import load_rows
@@ -73,7 +82,8 @@ def build_both_plans(db):
     )
 
 
-def test_join_method_crossover(report, benchmark):
+def test_join_method_crossover(report, benchmark, monkeypatch):
+    monkeypatch.setenv("REPRO_HASHJOIN", "0")
     rows = []
     chosen_methods = []
     for outer_rows in OUTER_SIZES:
@@ -92,6 +102,9 @@ def test_join_method_crossover(report, benchmark):
                 break
             if isinstance(node, MergeJoinNode):
                 method = "merge"
+                break
+            if isinstance(node, HashJoinNode):
+                method = "hash"
                 break
         chosen_methods.append((outer_rows, method))
         rows.append(

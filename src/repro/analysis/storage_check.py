@@ -6,6 +6,8 @@ these hold after *every* statement, faulted or not):
 
 - every segment page exists, is a data page, and is not scratch;
 - every stored record decodes under its relation's schema;
+- every data page's placement state (occupied slots, dead bytes, lowest
+  empty slot) equals a walk of its slot directory;
 - every index entry points at a live tuple whose key matches, and every
   tuple appears in exactly the indexes declared on its table (multiset
   equality, so duplicates count);
@@ -30,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import RecoveryError, StorageError, TornPageError
 from ..rss.btree import orderable_key
-from ..rss.page import Page, TupleId
+from ..rss.page import HEADER_SIZE, Page, TupleId
 from ..rss.tuples import decode_tuple, record_relation_id
 from .plan_check import Violation
 
@@ -155,7 +157,13 @@ def _decode_page(
     violations: list[Violation],
 ) -> None:
     by_relation = {table.relation_id: table for table in tables}
+    occupied = live_bytes = 0
+    first_empty = None
     for slot, record in page.records():
+        if first_empty is None and slot != occupied:
+            first_empty = occupied
+        occupied += 1
+        live_bytes += len(record)
         where = f"segment {segment_name} tid ({page.page_id},{slot})"
         relation_id = record_relation_id(record)
         table = by_relation.get(relation_id)
@@ -180,6 +188,20 @@ def _decode_page(
         tuples.setdefault(segment_name, {})[TupleId(page.page_id, slot)] = (
             relation_id,
             values,
+        )
+    # The page's placement state must equal what this walk of its bytes saw.
+    if first_empty is None and occupied < page.slot_count:
+        first_empty = occupied
+    walked = (occupied, page.free_pointer - HEADER_SIZE - live_bytes, first_empty)
+    kept = (page.occupied_slots(), page.dead_space(), page.first_empty_slot())
+    if kept != walked:
+        violations.append(
+            Violation(
+                "page-state-drift",
+                f"segment {segment_name} page {page.page_id}",
+                "placement state (occupied, dead bytes, first empty slot) "
+                f"{kept} != {walked} from the slot directory",
+            )
         )
 
 

@@ -12,6 +12,21 @@ Layout of a data page (all integers big-endian):
 A :class:`TupleId` (TID) is the stable address of a record: (page id, slot).
 As in System R, updating a tuple in place keeps its TID; an update that no
 longer fits becomes a delete + insert with a new TID.
+
+Placement state.  Besides its bytes a page keeps three ints that make
+placing a record O(1) instead of a walk over the slot directory:
+
+- ``_first_empty``: every slot below it is occupied, so the lowest empty
+  slot is found by scanning forward from it (and the scan moves it on);
+  ``delete`` and an ``update`` to length 0 lower it to the freed slot;
+- ``_live_count`` / ``_live_bytes``: the occupied slots and the bytes
+  their records hold, so dead space and emptiness need no walk.
+
+The state is derived from the bytes, never stored in them: a fresh page
+starts from zeros, a page built from bytes (a disk read, recovery) derives
+it on first use, and :meth:`Page.clone` copies it.  Placement decisions are
+exactly those a full walk would make — the lowest empty slot is reused and
+compaction happens when free space alone is short.
 """
 
 from __future__ import annotations
@@ -24,13 +39,16 @@ from ..errors import PageFullError, RecordTooLargeError, StorageError
 PAGE_SIZE = 4096
 _HEADER = struct.Struct(">HH")
 _SLOT = struct.Struct(">HH")
-_HEADER_SIZE = _HEADER.size
+HEADER_SIZE = _HEADER.size
 _SLOT_SIZE = _SLOT.size
 
 #: Largest record an *empty* page can hold (header plus one slot removed).
 #: Anything bigger can never be placed, no matter how many fresh pages a
 #: caller retries on.
-USABLE_PAGE_BYTES = PAGE_SIZE - _HEADER_SIZE - _SLOT_SIZE
+USABLE_PAGE_BYTES = PAGE_SIZE - HEADER_SIZE - _SLOT_SIZE
+
+#: ``_live_count`` of a page whose placement state is not derived yet.
+_UNKNOWN = -1
 
 
 class TupleId(NamedTuple):
@@ -50,17 +68,25 @@ class Page:
     record operations manipulate those bytes directly.
     """
 
+    __slots__ = (
+        "page_id", "data", "dirty", "_first_empty", "_live_count", "_live_bytes"
+    )
+
     def __init__(self, page_id: int, data: bytearray | None = None):
         self.page_id = page_id
+        self._first_empty = 0
+        self._live_bytes = 0
         if data is None:
             # Page bytes mutate only on the driving thread (DML drains all
             # workers before any write); scan workers only read them.
             self.data = bytearray(PAGE_SIZE)
-            self._set_header(0, _HEADER_SIZE)
+            self._set_header(0, HEADER_SIZE)
+            self._live_count = 0
         else:
             if len(data) != PAGE_SIZE:
                 raise StorageError(f"page must be {PAGE_SIZE} bytes")
             self.data = data
+            self._live_count = _UNKNOWN
         self.dirty = False
 
     # -- header helpers ---------------------------------------------------
@@ -76,6 +102,11 @@ class Page:
         """Slots ever allocated on this page (including empty ones)."""
         return self._header()[0]
 
+    @property
+    def free_pointer(self) -> int:
+        """Offset where the next record would be written."""
+        return self._header()[1]
+
     def _slot(self, slot: int) -> tuple[int, int]:
         position = PAGE_SIZE - _SLOT_SIZE * (slot + 1)
         return _SLOT.unpack_from(self.data, position)
@@ -83,6 +114,49 @@ class Page:
     def _set_slot(self, slot: int, offset: int, length: int) -> None:
         position = PAGE_SIZE - _SLOT_SIZE * (slot + 1)
         _SLOT.pack_into(self.data, position, offset, length)
+
+    def _occupied(self, slot: int) -> tuple[int, int]:
+        """``(offset, length)`` of an occupied slot; raises otherwise."""
+        if not 0 <= slot < self.slot_count:
+            raise StorageError(f"page {self.page_id}: no slot {slot}")
+        offset, length = self._slot(slot)
+        if length == 0:
+            raise StorageError(f"page {self.page_id}: slot {slot} is empty")
+        return offset, length
+
+    # -- placement state --------------------------------------------------
+
+    def _ensure_state(self) -> None:
+        """Derive the live count and bytes of a page built from bytes."""
+        if self._live_count != _UNKNOWN:
+            return
+        count = live = 0
+        for slot in range(self.slot_count):
+            length = self._slot(slot)[1]
+            if length:
+                count += 1
+                live += length
+        # The count doubles as the "derived" flag, so it is published last.
+        self._live_bytes = live
+        self._live_count = count
+
+    def first_empty_slot(self) -> int | None:
+        """The lowest empty slot, or None when every slot is occupied."""
+        return self._empty_slot(self.slot_count)
+
+    def _empty_slot(self, slot_count: int) -> int | None:
+        """:meth:`first_empty_slot` for a caller holding the header."""
+        self._ensure_state()
+        slot = self._first_empty
+        while slot < slot_count and self._slot(slot)[1]:
+            slot += 1
+        self._first_empty = slot
+        return slot if slot < slot_count else None
+
+    def _reclaimable(self, slot_count: int) -> int:
+        """Free plus dead bytes (state already derived): the room a
+        compaction would leave for new records."""
+        return PAGE_SIZE - _SLOT_SIZE * slot_count - HEADER_SIZE - self._live_bytes
 
     # -- space accounting -------------------------------------------------
 
@@ -94,20 +168,13 @@ class Page:
 
     def dead_space(self) -> int:
         """Bytes occupied by deleted records, reclaimable by compaction."""
-        __, free_ptr = self._header()
-        live = sum(length for ___, length in self._live_slots())
-        return free_ptr - _HEADER_SIZE - live
-
-    def _live_slots(self):
-        for slot in range(self.slot_count):
-            offset, length = self._slot(slot)
-            if length:
-                yield slot, length
+        self._ensure_state()
+        return self.free_pointer - HEADER_SIZE - self._live_bytes
 
     def compact(self) -> None:
         """Rewrite live records contiguously, reclaiming dead space."""
-        records = [(slot, self.read(slot)) for slot, __ in self._live_slots()]
-        write_ptr = _HEADER_SIZE
+        records = list(self.records())
+        write_ptr = HEADER_SIZE
         for slot, record in records:
             self.data[write_ptr : write_ptr + len(record)] = record
             self._set_slot(slot, write_ptr, len(record))
@@ -122,16 +189,11 @@ class Page:
         Reusing an empty slot needs only the record bytes; otherwise a new
         slot directory entry is also required.
         """
+        slot_count = self.slot_count
         needed = record_size
-        if self._find_empty_slot() is None:
+        if self._empty_slot(slot_count) is None:
             needed += _SLOT_SIZE
-        return self.free_space() + self.dead_space() >= needed
-
-    def _find_empty_slot(self) -> int | None:
-        for slot in range(self.slot_count):
-            if self._slot(slot)[1] == 0:
-                return slot
-        return None
+        return self._reclaimable(slot_count) >= needed
 
     # -- record operations --------------------------------------------------
 
@@ -142,54 +204,66 @@ class Page:
         even on an empty page (so retrying on a fresh page is futile) and
         :class:`PageFullError` when only *this* page lacks the space.
         """
-        if len(record) > USABLE_PAGE_BYTES:
-            raise RecordTooLargeError(len(record), USABLE_PAGE_BYTES)
-        slot = self._find_empty_slot()
-        needed = len(record) + (0 if slot is not None else _SLOT_SIZE)
-        if self.free_space() < needed:
-            if self.free_space() + self.dead_space() < needed:
+        size = len(record)
+        if size > USABLE_PAGE_BYTES:
+            raise RecordTooLargeError(size, USABLE_PAGE_BYTES)
+        slot_count, free_ptr = self._header()
+        slot = self._empty_slot(slot_count)
+        needed = size + (0 if slot is not None else _SLOT_SIZE)
+        if PAGE_SIZE - _SLOT_SIZE * slot_count - free_ptr < needed:  # free space
+            if self._reclaimable(slot_count) < needed:
                 raise PageFullError(
                     f"page {self.page_id}: need {needed} bytes, "
                     f"have {self.free_space()}"
                 )
             self.compact()
-        slot_count, free_ptr = self._header()
+            free_ptr = self.free_pointer
         if slot is None:
             slot = slot_count
             slot_count += 1
-        self.data[free_ptr : free_ptr + len(record)] = record
-        self._set_slot(slot, free_ptr, len(record))
-        self._set_header(slot_count, free_ptr + len(record))
+        self.data[free_ptr : free_ptr + size] = record
+        self._set_slot(slot, free_ptr, size)
+        self._set_header(slot_count, free_ptr + size)
+        if size:
+            self._first_empty = slot + 1
+            self._live_count += 1
+            self._live_bytes += size
+        else:
+            # A zero-length record leaves its slot empty.
+            self._first_empty = slot
         self.dirty = True
         return slot
 
     def read(self, slot: int) -> bytes:
         """Return the record bytes at ``slot``; raises on empty slots."""
-        if slot >= self.slot_count:
-            raise StorageError(f"page {self.page_id}: no slot {slot}")
-        offset, length = self._slot(slot)
-        if length == 0:
-            raise StorageError(f"page {self.page_id}: slot {slot} is empty")
+        offset, length = self._occupied(slot)
         return bytes(self.data[offset : offset + length])
 
     def delete(self, slot: int) -> None:
         """Free a slot.  Record bytes become dead space until compaction."""
-        if slot >= self.slot_count or self._slot(slot)[1] == 0:
-            raise StorageError(f"page {self.page_id}: slot {slot} is empty")
+        __, length = self._occupied(slot)
+        self._ensure_state()
         self._set_slot(slot, 0, 0)
+        self._live_count -= 1
+        self._live_bytes -= length
+        self._first_empty = min(self._first_empty, slot)
         self.dirty = True
 
     def update(self, slot: int, record: bytes) -> bool:
         """Overwrite a record in place if it fits; returns False otherwise."""
-        offset, length = self._slot(slot)
-        if length == 0:
-            raise StorageError(f"page {self.page_id}: slot {slot} is empty")
-        if len(record) <= length:
-            self.data[offset : offset + len(record)] = record
-            self._set_slot(slot, offset, len(record))
-            self.dirty = True
-            return True
-        return False
+        offset, length = self._occupied(slot)
+        size = len(record)
+        if size > length:
+            return False
+        self._ensure_state()
+        self.data[offset : offset + size] = record
+        self._set_slot(slot, offset, size)
+        self._live_bytes -= length - size
+        if size == 0:
+            self._live_count -= 1
+            self._first_empty = min(self._first_empty, slot)
+        self.dirty = True
+        return True
 
     def records(self) -> Iterator[tuple[int, bytes]]:
         """Yield (slot, record bytes) for every occupied slot, in slot order."""
@@ -200,7 +274,8 @@ class Page:
 
     def occupied_slots(self) -> int:
         """Slots currently holding a record."""
-        return sum(1 for __ in self.records())
+        self._ensure_state()
+        return self._live_count
 
     def is_empty(self) -> bool:
         """True when nothing is stored here."""
@@ -210,4 +285,7 @@ class Page:
         """An independent copy (shadow version for statement rollback)."""
         copy = Page(self.page_id, bytearray(self.data))
         copy.dirty = self.dirty
+        copy._first_empty = self._first_empty
+        copy._live_count = self._live_count
+        copy._live_bytes = self._live_bytes
         return copy

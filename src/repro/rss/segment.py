@@ -15,11 +15,8 @@ from typing import Iterator
 from ..errors import StorageError, TupleTooLargeError
 from .buffer import BufferPool
 from .faults import get_injector, register_point
-from .page import PAGE_SIZE, Page, TupleId
+from .page import USABLE_PAGE_BYTES, Page, TupleId
 from .pagestore import PageStore
-
-# Largest record we can ever place: an empty page minus header and one slot.
-MAX_RECORD_SIZE = PAGE_SIZE - 4 - 4
 
 FP_SEGMENT_INSERT = register_point(
     "segment.insert", "entering a segment record insert"
@@ -54,7 +51,7 @@ class Segment:
         ``append_only`` skips the space-reuse pass over earlier pages so a
         reorganization load preserves strict physical order.
         """
-        if len(record) > MAX_RECORD_SIZE:
+        if len(record) > USABLE_PAGE_BYTES:
             raise TupleTooLargeError(
                 f"record of {len(record)} bytes exceeds page capacity"
             )

@@ -96,6 +96,27 @@ class TestPageUpdate:
             page.update(slot, b"y")
 
 
+class TestSlotBounds:
+    def test_update_past_the_directory_raises_and_writes_nothing(self):
+        # On a full page the bytes "below" the directory are record data; an
+        # unchecked slot number would read a bogus entry out of them.
+        page = make_page()
+        while page.can_fit(100):
+            page.insert(b"x" * 100)
+        before = bytes(page.data)
+        with pytest.raises(StorageError):
+            page.update(page.slot_count + 50, b"ZZ")
+        assert bytes(page.data) == before
+
+    @pytest.mark.parametrize("operation", ["read", "delete", "update"])
+    def test_negative_slot_raises_storage_error(self, operation):
+        page = make_page()
+        page.insert(b"x")
+        args = (-1, b"y") if operation == "update" else (-1,)
+        with pytest.raises(StorageError):
+            getattr(page, operation)(*args)
+
+
 class TestPageCapacity:
     def test_page_fills_up(self):
         page = make_page()

@@ -8,9 +8,10 @@ from repro.errors import IntegrityError, StorageError, TupleTooLargeError
 from repro.rss import StorageEngine
 from repro.rss.buffer import BufferPool
 from repro.rss.counters import CostCounters
+from repro.rss.page import USABLE_PAGE_BYTES
 from repro.rss.pagestore import PageStore
 from repro.rss.sargs import CompareOp, SargPredicate, Sargs
-from repro.rss.segment import MAX_RECORD_SIZE, Segment
+from repro.rss.segment import Segment
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,7 @@ class TestSegment:
     def test_too_large_record(self):
         segment, __ = make_segment()
         with pytest.raises(TupleTooLargeError):
-            segment.insert(b"x" * (MAX_RECORD_SIZE + 1))
+            segment.insert(b"x" * (USABLE_PAGE_BYTES + 1))
 
     def test_space_reuse_after_delete(self):
         segment, __ = make_segment()
