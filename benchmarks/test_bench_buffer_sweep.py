@@ -5,6 +5,10 @@ R buffer", and the nested-loop residency reasoning depends on what the
 buffer can hold.  Sweeping the pool size shows plan choices flipping (index
 probes vs sort-merge vs resident rescans) and both predicted and measured
 costs falling as the pool grows.
+
+The sweep runs in the paper-faithful mode (``REPRO_HASHJOIN=0``): Table 2's
+buffer-fit formulas price nested loops and merge scans, and with hash join
+in the search the small pools pick a hash join instead.
 """
 
 from conftest import measure_cold, weighted
@@ -35,7 +39,8 @@ def build(buffer_pages: int) -> Database:
     return db
 
 
-def test_buffer_size_sweep(report, benchmark):
+def test_buffer_size_sweep(report, benchmark, monkeypatch):
+    monkeypatch.setenv("REPRO_HASHJOIN", "0")
     rows = []
     measured_costs = []
     reference_rows = None

@@ -76,6 +76,13 @@ EMPDEPT_QUERIES = (
     "(SELECT AVG(SAL) FROM EMP WHERE DNO = X.DNO)",
     "SELECT NAME FROM EMP WHERE SAL > "
     "(SELECT AVG(SAL) FROM EMP)",
+    # SARG shapes beyond one conjunction, so the fusion differential runs
+    # the generated predicates' set test, OR groups and NULL constants.
+    "SELECT NAME, DNO FROM EMP WHERE DNO IN (3, 7, 3, NULL)",
+    "SELECT NAME FROM EMP WHERE DNO = 4 OR JOB = 2",
+    "SELECT NAME FROM EMP WHERE DNO NOT IN (1, 2, 3)",
+    "SELECT DNAME FROM DEPT WHERE LOC IN ('DENVER', 'NYC', 'DENVER')",
+    "SELECT NAME FROM EMP WHERE (DNO = 2 OR DNO = 5) AND (JOB = 1 OR SAL > 800)",
 )
 
 #: (use_heuristic, use_interesting_orders) configurations to cover.

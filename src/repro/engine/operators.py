@@ -26,7 +26,7 @@ the tuple-at-a-time interface would have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from ..datatypes import DataType
@@ -45,13 +45,7 @@ from ..optimizer.plan import (
     SortNode,
     walk_plan,
 )
-from ..rss.sargs import (
-    CompareOp,
-    and_matcher,
-    dnf_matcher,
-    predicate_factory,
-    type_family,
-)
+from ..rss.sargs import SargProgram, SargShape, column_kind, sarg_program
 from ..rss.tuples import DecodePlan
 from ..sql import ast
 from .compile import EvalFn, ExprCompiler, ordering_fns
@@ -159,14 +153,14 @@ class _ScanProgram:
     """Everything per-query-constant about opening and driving one scan."""
 
     decode_plan: DecodePlan
-    #: per sargable factor, per DNF group: (matcher factory, value closure)
-    sarg_parts: list[list[list[tuple[Callable, EvalFn]]]]
-    #: structural mirror of ``sarg_parts``: (column position, operator) per
-    #: predicate, so the parallel exchange can recognize equality probe
-    #: keys without re-walking the plan.
-    sarg_specs: list[list[list[tuple[int, CompareOp]]]] = field(
-        default_factory=list
-    )
+    #: the SARGs' shape (per sargable factor, per DNF group, per predicate:
+    #: column position, operator, column kind), so the parallel exchange
+    #: can recognize equality probe keys without re-walking the plan
+    sarg_shape: SargShape
+    #: one value closure per shape predicate, in shape order
+    sarg_values: tuple[EvalFn, ...]
+    #: the shape's generated predicate; a scan open binds the values
+    sarg: SargProgram
     low_fns: tuple[EvalFn, ...] = ()
     high_fns: tuple[EvalFn, ...] = ()
     residual: Callable[[EvalEnv], bool] | None = None
@@ -176,27 +170,22 @@ def _build_scan(node: ScanNode, ctx: ExecContext) -> _ScanProgram:
     # SARG values and index bounds evaluate at open against an empty row,
     # so every column they mention resolves through the enclosing chain.
     opens = ExprCompiler((), interpret=ctx.interpret)
-    sarg_parts: list[list[list[tuple[Callable, EvalFn]]]] = []
-    sarg_specs: list[list[list[tuple[int, CompareOp]]]] = []
-    for expression in node.sargs:
-        part: list[list[tuple[Callable, EvalFn]]] = []
-        spec_part: list[list[tuple[int, CompareOp]]] = []
-        for group in expression.groups:
-            compiled_group: list[tuple[Callable, EvalFn]] = []
-            spec_group: list[tuple[int, CompareOp]] = []
-            for pred in group:
-                family = (
-                    None
-                    if ctx.interpret
-                    else type_family(pred.column.datatype)
-                )
-                make = predicate_factory(pred.column.position, pred.op, family)
-                compiled_group.append((make, opens.expr_fn(pred.value)))
-                spec_group.append((pred.column.position, pred.op))
-            part.append(compiled_group)
-            spec_part.append(spec_group)
-        sarg_parts.append(part)
-        sarg_specs.append(spec_part)
+    shape = tuple(
+        tuple(
+            tuple(
+                (pred.column.position, pred.op, column_kind(pred.column.datatype))
+                for pred in group
+            )
+            for group in expression.groups
+        )
+        for expression in node.sargs
+    )
+    sarg_values = tuple(
+        opens.expr_fn(pred.value)
+        for expression in node.sargs
+        for group in expression.groups
+        for pred in group
+    )
     low_fns: tuple[EvalFn, ...] = ()
     high_fns: tuple[EvalFn, ...] = ()
     if isinstance(node.access, IndexAccess):
@@ -207,8 +196,9 @@ def _build_scan(node: ScanNode, ctx: ExecContext) -> _ScanProgram:
     )
     return _ScanProgram(
         decode_plan=DecodePlan(ctx.schemas[node.alias]),
-        sarg_parts=sarg_parts,
-        sarg_specs=sarg_specs,
+        sarg_shape=shape,
+        sarg_values=sarg_values,
+        sarg=sarg_program(shape, not ctx.interpret),
         low_fns=low_fns,
         high_fns=high_fns,
         residual=residual,
@@ -220,17 +210,10 @@ def compile_sarg_matcher(
 ) -> Callable[[tuple], bool] | None:
     """The scan's per-open SARG matcher: probe and correlation values are
     evaluated against the enclosing environment chain and bound into the
-    prebuilt predicate factories."""
-    if not program.sarg_parts:
+    node's generated predicate."""
+    if not program.sarg_values:
         return None
-    parts = []
-    for part in program.sarg_parts:
-        groups = [
-            [make(value_fn(value_env)) for make, value_fn in group]
-            for group in part
-        ]
-        parts.append(dnf_matcher(groups))
-    return and_matcher(parts)
+    return program.sarg.bind([fn(value_env) for fn in program.sarg_values])
 
 
 def open_scan(
@@ -481,7 +464,7 @@ class _HashJoinProgram:
 
 
 def _partition_value_fn(datatype: DataType) -> Callable[[object], int]:
-    if type_family(datatype) == "str":
+    if column_kind(datatype) == "str":
         from zlib import crc32
 
         return lambda value: crc32(str(value).encode())

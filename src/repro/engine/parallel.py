@@ -68,8 +68,9 @@ from ..optimizer.plan import (
     ScanNode,
 )
 from ..rss.counters import CostCounters
-from ..rss.sargs import CompareOp, and_matcher, dnf_matcher
-from ..rss.scan import decode_page_rows
+from ..rss.sargs import CompareOp, SargProgram, sarg_program
+from ..rss.scan import page_rows
+from ..rss.tuples import DecodePlan
 from ..sql import ast
 from .evaluator import EvalEnv
 from .external_sort import _HeapKey, _sorted_run
@@ -162,7 +163,7 @@ def _morsel_results(
     """Fan a segment scan's page morsels out; yield ``(page_ids, result)``
     per morsel in submission order with its private counters merged.
 
-    ``make_task(pages, relation_id, decode, matcher)`` returns the
+    ``make_task(pages, relation_id, plan, matcher)`` returns the
     zero-argument worker task running the scan kernel over one morsel's
     frozen ``(page_id, Page)`` pairs.  The caller replays
     ``buffer.fetch`` over each morsel's ``page_ids`` — lazily, at the
@@ -172,12 +173,12 @@ def _morsel_results(
     page_ids = snapshot.page_ids
     if not page_ids:
         return
-    decode = program.decode_plan.decode
+    plan = program.decode_plan
     matcher = compile_sarg_matcher(program, ctx.env(Row(), outer))
     ranges = morsel_ranges(len(page_ids), morsel_pages())
     tasks = [
         make_task(
-            snapshot.freeze_range(lo, hi), snapshot.relation_id, decode, matcher
+            snapshot.freeze_range(lo, hi), snapshot.relation_id, plan, matcher
         )
         for lo, hi in ranges
     ]
@@ -208,12 +209,12 @@ def parallel_scan_driver(
         return None
 
     def driver(ctx: ExecContext, outer: EvalEnv | None):
-        def make_task(pages, relation_id, decode, matcher):
+        def make_task(pages, relation_id, plan, matcher):
             return partial(
                 scan_pages,
                 pages,
                 relation_id,
-                decode,
+                plan,
                 matcher,
                 make_process(ctx, outer),
             )
@@ -236,32 +237,40 @@ def parallel_scan_driver(
 # ---------------------------------------------------------------------------
 
 
-def _probe_keys(program: _ScanProgram) -> tuple[tuple[int, ...], list[int], list]:
+def _probe_keys(
+    program: _ScanProgram, typed: bool
+) -> tuple[tuple[int, ...], tuple, SargProgram, tuple]:
     """Split SARG parts into hash-key equality conjuncts and the rest.
 
     A part whose DNF is a single group of all-equality predicates is a
     conjunction of ``column = probe-value`` terms: its column positions
     become hash-key components and its value closures compute the probe
-    key.  Remaining parts stay as a per-probe matcher over bucket
-    candidates.
+    key.  Remaining parts form a shape of their own, whose program each
+    probe binds into a matcher over its bucket candidates.
     """
     key_positions: list[int] = []
     key_value_fns: list = []
-    rest_parts: list[int] = []
-    for index, (part, spec_part) in enumerate(
-        zip(program.sarg_parts, program.sarg_specs)
-    ):
-        if len(part) == 1 and all(op is CompareOp.EQ for __, op in spec_part[0]):
-            for (position, __), (___, value_fn) in zip(spec_part[0], part[0]):
-                key_positions.append(position)
-                key_value_fns.append(value_fn)
+    rest_shape: list = []
+    rest_value_fns: list = []
+    values = iter(program.sarg_values)
+    for part in program.sarg_shape:
+        fns = [next(values) for group in part for __ in group]
+        if len(part) == 1 and all(op is CompareOp.EQ for __, op, ___ in part[0]):
+            key_positions.extend(position for position, __, ___ in part[0])
+            key_value_fns.extend(fns)
         else:
-            rest_parts.append(index)
-    return tuple(key_positions), rest_parts, key_value_fns
+            rest_shape.append(part)
+            rest_value_fns.extend(fns)
+    return (
+        tuple(key_positions),
+        tuple(key_value_fns),
+        sarg_program(tuple(rest_shape), typed),
+        tuple(rest_value_fns),
+    )
 
 
 def _build_buckets(
-    snapshot, decode, key_positions: tuple[int, ...]
+    snapshot, plan: DecodePlan, key_positions: tuple[int, ...]
 ) -> dict[tuple, list]:
     """Hash-repartition the frozen inner relation by its probe-key columns.
 
@@ -275,8 +284,7 @@ def _build_buckets(
     get_page = snapshot.get_page
     relation_id = snapshot.relation_id
     for page_id in snapshot.page_ids:
-        rows = decode_page_rows(page_id, get_page(page_id), relation_id, decode)
-        for item in rows:
+        for item in page_rows(page_id, get_page(page_id), relation_id, plan):
             values = item[1]
             key = tuple([values[position] for position in key_positions])
             if None in key:
@@ -295,7 +303,8 @@ def _probe_chunk(
     outer_rows: list[Row],
     buckets: dict[tuple, list],
     key_value_fns,
-    rest_parts,
+    rest_program: SargProgram,
+    rest_value_fns,
     inner_alias: str,
     inner_test,
     residual,
@@ -322,15 +331,8 @@ def _probe_chunk(
             matched = no_match
         else:
             matched = buckets.get(key, no_match)
-            if matched and rest_parts:
-                groups = [
-                    [
-                        [make(value_fn(probe_env)) for make, value_fn in group]
-                        for group in part
-                    ]
-                    for part in rest_parts
-                ]
-                rest = and_matcher([dnf_matcher(g) for g in groups])
+            if matched and rest_value_fns:
+                rest = rest_program.bind([fn(probe_env) for fn in rest_value_fns])
                 if rest is not None:
                     matched = [item for item in matched if rest(item[1])]
         count_rsi(len(matched))
@@ -375,14 +377,15 @@ def parallel_nested_loop_driver(node: NestedLoopJoinNode, ctx: ExecContext):
         return None
     if not _subquery_free(_scan_exprs(inner) + list(node.residual)):
         return None
-    key_positions, rest_indexes, key_value_fns = _probe_keys(inner_program)
+    key_positions, key_value_fns, rest_program, rest_value_fns = _probe_keys(
+        inner_program, not ctx.interpret
+    )
     if not key_positions:
         return None
-    rest_parts = [inner_program.sarg_parts[i] for i in rest_indexes]
     residual = _program(node, ctx, _build_nested_loop)
     inner_alias = inner.alias
     inner_test = inner_program.residual
-    decode = inner_program.decode_plan.decode
+    plan = inner_program.decode_plan
     inner_table = inner.table
     from .fuse import _fused_program
 
@@ -391,7 +394,7 @@ def parallel_nested_loop_driver(node: NestedLoopJoinNode, ctx: ExecContext):
     def driver(ctx: ExecContext, outer: EvalEnv | None):
         snapshot = ctx.storage.scan_snapshot(inner_table)
         inner_pages = snapshot.page_ids
-        buckets = _build_buckets(snapshot, decode, key_positions)
+        buckets = _build_buckets(snapshot, plan, key_positions)
         backend = get_backend(ctx.workers)
         fetch = ctx.storage.buffer.fetch
         merge = ctx.storage.counters.merge
@@ -404,7 +407,8 @@ def parallel_nested_loop_driver(node: NestedLoopJoinNode, ctx: ExecContext):
                         rows,
                         buckets,
                         key_value_fns,
-                        rest_parts,
+                        rest_program,
+                        rest_value_fns,
                         inner_alias,
                         inner_test,
                         residual,
@@ -525,12 +529,12 @@ def parallel_aggregate_driver(node: AggregateNode, ctx: ExecContext):
         return None
     aggregates = tuple(node.aggregates)
 
-    def make_task(pages, relation_id, decode, matcher):
+    def make_task(pages, relation_id, plan, matcher):
         return partial(
             fold_pages,
             pages,
             relation_id,
-            decode,
+            plan,
             matcher,
             key_positions,
             arg_positions,

@@ -51,7 +51,8 @@ from operator import itemgetter
 from typing import Iterator
 
 from ..rss.counters import CostCounters
-from ..rss.scan import DEFAULT_BATCH_SIZE, decode_page_rows
+from ..rss.scan import DEFAULT_BATCH_SIZE, page_rows
+from ..rss.tuples import DecodePlan
 from .operators import _AggState
 
 #: Pages per morsel: small enough that no task holds a hot range hostage,
@@ -221,7 +222,7 @@ atexit.register(shutdown_backends)
 
 
 def scan_pages(
-    pages, relation_id: int, decode, matcher, process
+    pages, relation_id: int, plan: DecodePlan, matcher, process
 ) -> tuple[CostCounters, list[list]]:
     """The scan kernel: decode, SARG-match, and process ``(page_id, Page)``
     pairs.
@@ -237,9 +238,7 @@ def scan_pages(
     count_rsi = counters.count_rsi_call
     results: list[list] = []
     for page_id, page in pages:
-        rows = decode_page_rows(page_id, page, relation_id, decode)
-        if matcher is not None:
-            rows = [item for item in rows if matcher(item[1])]
+        rows = page_rows(page_id, page, relation_id, plan, matcher)
         chunks: list = []
         for start in range(0, len(rows), DEFAULT_BATCH_SIZE):
             chunk = rows[start : start + DEFAULT_BATCH_SIZE]
@@ -308,7 +307,7 @@ def run_folder(
 def fold_pages(
     pages,
     relation_id: int,
-    decode,
+    plan: DecodePlan,
     matcher,
     key_positions: tuple[int, ...],
     arg_positions: tuple[int | None, ...],
@@ -320,7 +319,7 @@ def fold_pages(
     counters, results = scan_pages(
         pages,
         relation_id,
-        decode,
+        plan,
         matcher,
         run_folder(runs, key_positions, arg_positions, calls),
     )

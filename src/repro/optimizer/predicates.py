@@ -292,9 +292,11 @@ def _sarg_groups(
             return None
         column = expr.operand
         assert isinstance(column, BoundColumn)
-        return [
-            [SimpleSarg(column, CompareOp.EQ, value)] for value in expr.values
-        ]
+        # One group per literal the list can match; a list of NULLs alone
+        # keeps one ``= NULL`` group, which rejects every tuple (no groups
+        # at all would accept every tuple).
+        values = expr.distinct_values() or expr.values[:1]
+        return [[SimpleSarg(column, CompareOp.EQ, value)] for value in values]
     return None
 
 

@@ -216,7 +216,7 @@ class SelectivityEstimator:
             per_value = 1.0 / icard if icard else DEFAULT_EQ
         else:
             per_value = DEFAULT_EQ
-        return min(IN_LIST_CAP, len(expr.values) * per_value)
+        return min(IN_LIST_CAP, len(expr.distinct_values()) * per_value)
 
     def _in_subquery(self, expr: ast.InSubquery) -> float:
         subquery = expr.subquery

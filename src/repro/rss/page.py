@@ -265,6 +265,14 @@ class Page:
         self.dirty = True
         return True
 
+    def directory(self) -> list[tuple[int, int]]:
+        """``(offset, length)`` of every slot in slot order, read with one
+        ``iter_unpack``; a length of 0 marks an empty slot."""
+        start = PAGE_SIZE - _SLOT_SIZE * self.slot_count
+        entries = list(_SLOT.iter_unpack(self.data[start:]))
+        entries.reverse()  # the directory grows down from the page end
+        return entries
+
     def records(self) -> Iterator[tuple[int, bytes]]:
         """Yield (slot, record bytes) for every occupied slot, in slot order."""
         for slot in range(self.slot_count):

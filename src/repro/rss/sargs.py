@@ -6,13 +6,22 @@ form: an OR of AND-groups (Section 3).  Scans apply SARGs to a tuple before
 returning it, so tuples rejected by a SARG cost a page visit but **not** an
 RSI call — that asymmetry is why the optimizer's RSICARD counts only tuples
 surviving the sargable boolean factors.
+
+Scans test SARGs through one generated function per SARG *shape* — the
+column positions, operators and column kinds of an AND of DNFs, with the
+constants left out (:func:`sarg_program`).  The function is generated once
+per shape and cached; a plan node looks its program up once, and a scan
+open only binds the constants (:meth:`SargProgram.bind`).  Generated source
+holds column positions and operator templates only: constants arrive as
+arguments and are never formatted into it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import lru_cache
+from typing import Callable, Sequence
 
 from ..datatypes import DataType, TypeKind, compare_values
 
@@ -116,7 +125,7 @@ class Sargs:
         )
 
     def is_empty(self) -> bool:
-        """True when nothing is stored here."""
+        """True when the expression has no groups, i.e. matches every tuple."""
         return not self.groups
 
     def __str__(self) -> str:
@@ -130,193 +139,197 @@ class Sargs:
 
 
 # ---------------------------------------------------------------------------
-# compiled matchers
+# compiled predicates
 # ---------------------------------------------------------------------------
 #
-# ``SargPredicate.matches`` pays enum dispatch plus a three-way compare per
-# tuple.  A compiled matcher binds the operator and comparison value into a
-# plain closure once per scan open; when the column's type family is known
-# and the value belongs to it, the closure uses raw ``<`` orderings (the
-# exact decomposition of ``compare_values``, NaN included).  NULL column
-# values never match, and a NULL comparison value rejects every tuple —
-# both identical to ``CompareOp.evaluate``.
+# A shape compiles to one function whose body is the whole AND of DNFs as a
+# single expression, short-circuiting in the order of ``Sargs.matches``
+# (parts, groups, predicates).  It comes in two forms:
+#
+# - the *typed* form compares with raw ``<`` (the exact decomposition of
+#   ``compare_values``, NaN and mixed int/float included) and tests an IN
+#   list on an INTEGER or VARCHAR column as one ``frozenset`` membership.
+#   It binds only constants of their column's family (never NULL, never
+#   ``bool``; ``int`` or ``str`` exactly for a set); stored values always
+#   belong to it.
+# - the *reference* form calls ``CompareOp.evaluate`` per predicate.  It
+#   takes every other binding and runs the interp engine, raising
+#   ``SemanticError`` on a family mismatch exactly where the reference does.
+
+#: A compiled SARG matcher: tuple values in, keep/reject out.
+TupleMatcher = Callable[[tuple], bool]
+
+#: One predicate of a shape: column position, operator and column kind
+#: (:func:`column_kind`).
+ShapePredicate = tuple[int, CompareOp, str]
+
+#: An AND of DNFs: per part, per OR-ed group, the AND-ed predicates.
+SargShape = tuple[tuple[tuple[ShapePredicate, ...], ...], ...]
 
 
-def type_family(datatype: DataType) -> str:
-    """The comparison family of a column type: ``"num"`` or ``"str"``."""
-    return "num" if datatype.kind is not TypeKind.VARCHAR else "str"
+def column_kind(datatype: DataType) -> str:
+    """A column's kind in a SARG shape: ``"int"``, ``"float"`` or ``"str"``."""
+    if datatype.kind is TypeKind.INTEGER:
+        return "int"
+    return "float" if datatype.kind is TypeKind.FLOAT else "str"
 
 
-def _value_family(value: object) -> str | None:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
-        return "num"
-    if isinstance(value, str):
-        return "str"
-    return None
+#: Typed comparison templates over a non-NULL column value ``x`` and a
+#: constant ``c`` of the same family.
+_TYPED = {
+    CompareOp.EQ: "not ({x} < {c} or {c} < {x})",
+    CompareOp.NE: "({x} < {c} or {c} < {x})",
+    CompareOp.LT: "{x} < {c}",
+    CompareOp.LE: "not ({c} < {x})",
+    CompareOp.GT: "{c} < {x}",
+    CompareOp.GE: "not ({x} < {c})",
+}
 
-
-def _reject_all(values: tuple) -> bool:
-    return False
-
-
-def _fast_eq(position: int, value: object) -> TupleMatcher:
-    def pred(values: tuple) -> bool:
-        x = values[position]
-        return x is not None and not (x < value or value < x)
-
-    return pred
-
-
-def _fast_ne(position: int, value: object) -> TupleMatcher:
-    def pred(values: tuple) -> bool:
-        x = values[position]
-        return x is not None and bool(x < value or value < x)
-
-    return pred
-
-
-def _fast_lt(position: int, value: object) -> TupleMatcher:
-    def pred(values: tuple) -> bool:
-        x = values[position]
-        return x is not None and x < value
-
-    return pred
-
-
-def _fast_le(position: int, value: object) -> TupleMatcher:
-    def pred(values: tuple) -> bool:
-        x = values[position]
-        return x is not None and not (value < x)
-
-    return pred
-
-
-def _fast_gt(position: int, value: object) -> TupleMatcher:
-    def pred(values: tuple) -> bool:
-        x = values[position]
-        return x is not None and value < x
-
-    return pred
-
-
-def _fast_ge(position: int, value: object) -> TupleMatcher:
-    def pred(values: tuple) -> bool:
-        x = values[position]
-        return x is not None and not (x < value)
-
-    return pred
-
-
-_FAST_PREDS = {
-    CompareOp.EQ: _fast_eq,
-    CompareOp.NE: _fast_ne,
-    CompareOp.LT: _fast_lt,
-    CompareOp.LE: _fast_le,
-    CompareOp.GT: _fast_gt,
-    CompareOp.GE: _fast_ge,
+#: What the generated source may name: the reference operators and, by
+#: column kind, the constant types the typed form binds (``T_``) and a
+#: ``frozenset`` IN test binds (``S_``).
+_NAMESPACE = {
+    **{op.name: op.evaluate for op in CompareOp},
+    "T_int": (int, float),
+    "T_float": (int, float),
+    "T_str": (str,),
+    "S_int": (int,),
+    "S_str": (str,),
 }
 
 
-def predicate_factory(
-    position: int, op: CompareOp, column_family: str | None = None
-) -> Callable[[object], TupleMatcher]:
-    """A per-scan-open factory binding a comparison value into a matcher.
-
-    The type dispatch happens here, once per plan node; the returned
-    ``make(value)`` is called at scan open (probe values change per open)
-    and only picks between the prebuilt fast and reference forms.
-    """
-    fast = _FAST_PREDS[op]
-
-    def make(value: object) -> TupleMatcher:
-        if value is None:
-            return _reject_all
-        if column_family is not None and _value_family(value) == column_family:
-            return fast(position, value)
-
-        def pred(values: tuple) -> bool:
-            return op.evaluate(values[position], value)
-
-        return pred
-
-    return make
+def _is_in_set(part: tuple[tuple[ShapePredicate, ...], ...]) -> bool:
+    """True for an IN list the typed form tests as one set membership:
+    two or more single-equality groups on one INTEGER or VARCHAR column."""
+    position, __, kind = part[0][0]
+    return (
+        len(part) > 1
+        and kind in ("int", "str")
+        and all(group == ((position, CompareOp.EQ, kind),) for group in part)
+    )
 
 
-def dnf_matcher(groups: list[list[TupleMatcher]]) -> TupleMatcher | None:
-    """Combine per-predicate matchers into one DNF matcher (OR of ANDs).
+def _source(shape: SargShape, typed: bool) -> str | None:
+    """The ``make(c0, c1, ...)`` source of one form of a shape, or ``None``
+    when no part can reject a tuple.  ``make`` returns the matcher, or
+    ``None`` when the typed form cannot bind its constants."""
+    checks: list[str] = []
+    prologue: list[str] = []
+    loads: dict[int, None] = {}  # the typed form reads each column once
+    clauses: list[str] = []
 
-    Returns ``None`` for an empty expression (matches everything) — and an
-    empty AND-group is vacuously true, which makes the whole disjunction
-    vacuously true as well.
-    """
-    if not groups or any(not group for group in groups):
+    def term(predicate: ShapePredicate, c: str) -> str:
+        position, op, kind = predicate
+        if not typed:
+            return f"{op.name}(values[{position}], {c})"
+        loads[position] = None
+        checks.append(f"type({c}) not in T_{kind}")
+        x = f"v{position}"
+        return f"{x} is not None and {_TYPED[op].format(x=x, c=c)}"
+
+    index = 0
+    for part in shape:
+        first = index
+        index += sum(len(group) for group in part)
+        if not part or not part[0]:
+            continue  # true without evaluating anything, as in Sargs.matches
+        if typed and _is_in_set(part):
+            position, __, kind = part[0][0]
+            names = [f"c{i}" for i in range(first, index)]
+            checks.extend(f"type({name}) not in S_{kind}" for name in names)
+            prologue.append(f"    s{first} = frozenset(({', '.join(names)}))")
+            loads[position] = None
+            clauses.append(f"v{position} in s{first}")
+            continue
+        constant = first
+        disjuncts: list[str] = []
+        for group in part:
+            if not group:
+                disjuncts.append("True")  # the groups after it never evaluate
+                break
+            conjuncts = []
+            for predicate in group:
+                conjuncts.append(term(predicate, f"c{constant}"))
+                constant += 1
+            disjuncts.append(" and ".join(conjuncts))
+        clauses.append(" or ".join(f"({d})" for d in disjuncts))
+    if not clauses:
         return None
-    if len(groups) == 1:
-        predicates = tuple(groups[0])
-        if len(predicates) == 1:
-            return predicates[0]
-
-        def conj(values: tuple, _preds=predicates) -> bool:
-            for pred in _preds:
-                if not pred(values):
-                    return False
-            return True
-
-        return conj
-    compiled_groups = tuple(tuple(group) for group in groups)
-
-    def dnf(values: tuple, _groups=compiled_groups) -> bool:
-        for group in _groups:
-            for pred in group:
-                if not pred(values):
-                    break
-            else:
-                return True
-        return False
-
-    return dnf
+    if checks:
+        prologue.insert(0, f"    if {' or '.join(checks)}:\n        return None")
+    return "\n".join(
+        [
+            f"def make({', '.join(f'c{i}' for i in range(index))}):",
+            *prologue,
+            "    def match(values):",
+            *(f"        v{position} = values[{position}]" for position in loads),
+            f"        return {' and '.join(f'({c})' for c in clauses)}",
+            "    return match",
+        ]
+    )
 
 
-def and_matcher(parts: Iterable[TupleMatcher | None]) -> TupleMatcher | None:
-    """Conjoin part matchers (one per sargable factor); ``None`` parts drop."""
-    kept = [part for part in parts if part is not None]
-    if not kept:
+def _define(source: str | None) -> Callable | None:
+    if source is None:
         return None
-    if len(kept) == 1:
-        return kept[0]
-    compiled = tuple(kept)
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<sarg program>", "exec"), namespace)
+    return namespace["make"]
 
-    def conj(values: tuple, _parts=compiled) -> bool:
-        for part in _parts:
-            if not part(values):
-                return False
-        return True
 
-    return conj
+class SargProgram:
+    """The generated predicate of one SARG shape, ready to bind constants.
+
+    ``source`` is the typed form's (the reference form's when the program
+    is reference-only), kept for inspection.
+    """
+
+    __slots__ = ("source", "_typed", "_reference")
+
+    def __init__(self, shape: SargShape, typed: bool):
+        reference = _source(shape, typed=False)
+        source = _source(shape, typed=True) if typed else None
+        self.source = source or reference
+        self._typed = _define(source)
+        self._reference = _define(reference)
+
+    def bind(self, constants: Sequence[object]) -> TupleMatcher | None:
+        """The matcher for one scan open, or ``None`` when it matches every
+        tuple.  ``constants`` come in shape order: part, group, predicate."""
+        if self._typed is not None:
+            matcher = self._typed(*constants)
+            if matcher is not None:
+                return matcher
+        if self._reference is None:
+            return None
+        return self._reference(*constants)
+
+
+@lru_cache(maxsize=1024)
+def sarg_program(shape: SargShape, typed: bool = True) -> SargProgram:
+    """The cached program of one shape; ``typed=False`` gives the
+    reference-only program the interp engine runs."""
+    return SargProgram(shape, typed)
 
 
 def compile_matcher(
     sargs: Sargs | None,
     datatypes: list[DataType] | None = None,
 ) -> TupleMatcher | None:
-    """Compile an existing SARG expression into a closure matcher.
-
-    Equivalent to ``sargs.matches`` (gated differentially in
-    ``tests/test_rss_scans.py``); ``datatypes`` enables the typed fast
-    path per column.
-    """
-    if sargs is None or sargs.is_empty():
+    """A matcher equivalent to ``sargs.matches`` (``None`` matches every
+    tuple); ``datatypes`` enables the typed form."""
+    if sargs is None:
         return None
-    groups: list[list[TupleMatcher]] = []
-    for group in sargs.groups:
-        compiled_group: list[TupleMatcher] = []
-        for predicate in group:
-            family = None
-            if datatypes is not None:
-                family = type_family(datatypes[predicate.column_position])
-            make = predicate_factory(predicate.column_position, predicate.op, family)
-            compiled_group.append(make(predicate.value))
-        groups.append(compiled_group)
-    return dnf_matcher(groups)
+    part = tuple(
+        tuple(
+            (
+                p.column_position,
+                p.op,
+                "" if datatypes is None else column_kind(datatypes[p.column_position]),
+            )
+            for p in group
+        )
+        for group in sargs.groups
+    )
+    program = sarg_program((part,), datatypes is not None)
+    return program.bind([p.value for group in sargs.groups for p in group])

@@ -32,9 +32,15 @@ executor keeps the default.
 Tuples rejected by SARGs are filtered below the interface and are *not*
 counted — this is the CPU saving that makes RSICARD (not QCARD or NCARD)
 the right multiplier for the W term of the cost formulas.  SARGs evaluate
-through a matcher closure compiled once per scan open (see
-:func:`repro.rss.sargs.compile_matcher`), and records decode through a
-per-relation :class:`~repro.rss.tuples.DecodePlan`.
+through one generated predicate per SARG shape, bound to the scan's
+constants at open (see :mod:`repro.rss.sargs`), and records decode
+through a per-relation :class:`~repro.rss.tuples.DecodePlan`.
+
+Every segment scan, serial or parallel, turns a fetched page into rows
+through one function, :func:`page_rows`: one pass over the page bytes
+that reads the slot directory at once, recognizes a NULL-free record of
+the relation by one byte-prefix compare, unpacks it straight from the
+page, and tests the SARGs before a TID is built.
 
 A consumer that re-opens the *same* scan many times against unchanged
 pages — the fused nested-loop driver probing its inner relation once per
@@ -49,50 +55,77 @@ mutation invalidates it.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ..datatypes import DataType
 from .btree import BTree
 from .buffer import BufferPool
 from .counters import CostCounters
 from .page import Page, TupleId
-from .sargs import Sargs, compile_matcher
+from .sargs import Sargs, TupleMatcher, compile_matcher
 from .segment import Segment
-from .tuples import DecodePlan, record_relation_id
+from .tuples import DecodePlan
 
 #: Matching tuples per yielded batch for page-aligned segment scans.
 DEFAULT_BATCH_SIZE = 256
 
 Batch = list[tuple[TupleId, tuple]]
 
+_new_tid = tuple.__new__  # builds a TupleId without its Python-level __new__
+
 
 def _resolve_matcher(
     sargs: Sargs | None,
-    matcher: Callable[[tuple], bool] | None,
+    matcher: TupleMatcher | None,
     datatypes: list[DataType],
-) -> Callable[[tuple], bool] | None:
+) -> TupleMatcher | None:
     if matcher is not None:
         return matcher
     return compile_matcher(sargs, datatypes)
 
 
-def decode_page_rows(
+def page_rows(
     page_id: int,
     page: Page,
     relation_id: int,
-    decode: Callable[[bytes], tuple],
+    plan: DecodePlan,
+    matcher: TupleMatcher | None = None,
 ) -> Batch:
-    """Decode every record of one relation on an already-fetched page.
+    """The rows of one relation on an already-fetched page that pass
+    ``matcher``, in slot order, decoded in one pass over the page bytes.
 
-    Pure over the page's current records — no counters, no buffer —
-    which is what lets parallel workers run it against a page-store
-    snapshot while the driving thread replays the buffer-pool fetches.
+    The slot directory is read at once (:meth:`Page.directory`).  A record
+    whose leading bytes equal the relation id followed by an all-zero null
+    bitmap is a NULL-free record of the relation; under a fixed-width
+    schema it unpacks straight from ``page.data`` with no per-record copy.
+    Any other record of the relation decodes in place through ``plan``.
+    The matcher runs before a ``TupleId`` is built.
+
+    Pure over the page — no counters, no buffer — which is what lets
+    parallel workers run it against a page-store snapshot while the
+    driving thread replays the buffer-pool fetches.
     """
-    return [
-        (TupleId(page_id, slot), decode(record))
-        for slot, record in page.records()
-        if record_relation_id(record) == relation_id
-    ]
+    data = page.data
+    starts = data.startswith
+    prefix = plan.null_free_prefix(relation_id)
+    fixed = None if plan.fixed is None else plan.fixed.unpack_from
+    base = plan.base_offset
+    decode = plan.decode
+    high, low = divmod(relation_id, 256)
+    rows: Batch = []
+    append = rows.append
+    for slot, (offset, length) in enumerate(page.directory()):
+        if not length:
+            continue
+        if fixed is not None and starts(prefix, offset):
+            values = fixed(data, offset + base)
+        elif data[offset] == high and data[offset + 1] == low:
+            values = decode(data, offset)
+        else:
+            continue
+        if matcher is None or matcher(values):
+            append((_new_tid(TupleId, (page_id, slot)), values))
+    return rows
 
 
 class SegmentScan:
@@ -106,7 +139,7 @@ class SegmentScan:
         buffer: BufferPool,
         counters: CostCounters,
         sargs: Sargs | None = None,
-        matcher: Callable[[tuple], bool] | None = None,
+        matcher: TupleMatcher | None = None,
         decode_plan: DecodePlan | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         decode_cache: dict[int, Batch] | None = None,
@@ -127,47 +160,32 @@ class SegmentScan:
 
     def batches(self) -> Iterator[Batch]:
         """Page-aligned batches of matching tuples, with no RSI accounting."""
-        decode = self._plan.decode
+        plan = self._plan
         matcher = self._matcher
         relation_id = self._relation_id
         batch_size = self._batch_size
         fetch = self._buffer.fetch
         cache = self._decode_cache
-        if cache is not None:
-            for page_id in self._page_ids:
-                page = fetch(page_id)  # counter-faithful even on cache hits
-                assert isinstance(page, Page)
+        for page_id in self._page_ids:
+            page = fetch(page_id)  # counter-faithful even on cache hits
+            assert isinstance(page, Page)
+            if cache is None:
+                rows = page_rows(page_id, page, relation_id, plan, matcher)
+            else:
                 rows = cache.get(page_id)
                 if rows is None:
-                    rows = decode_page_rows(page_id, page, relation_id, decode)
+                    rows = page_rows(page_id, page, relation_id, plan)
                     cache[page_id] = rows
-                batch: Batch = []
-                for item in rows:
-                    if matcher is not None and not matcher(item[1]):
-                        continue
-                    batch.append(item)
-                    if len(batch) >= batch_size:
-                        yield batch
-                        batch = []
-                if batch:
-                    yield batch
-            return
-        for page_id in self._page_ids:
-            page = fetch(page_id)
-            assert isinstance(page, Page)
-            batch = []
-            for slot, record in page.records():
-                if record_relation_id(record) != relation_id:
-                    continue
-                values = decode(record)
-                if matcher is not None and not matcher(values):
-                    continue
-                batch.append((TupleId(page_id, slot), values))
-                if len(batch) >= batch_size:
-                    yield batch
-                    batch = []
-            if batch:
-                yield batch
+                if matcher is None:
+                    rows = list(rows)  # never hand out the cached list
+                else:
+                    rows = [item for item in rows if matcher(item[1])]
+            if len(rows) <= batch_size:
+                if rows:
+                    yield rows
+                continue
+            for start in range(0, len(rows), batch_size):
+                yield rows[start : start + batch_size]
 
     def __iter__(self) -> Iterator[tuple[TupleId, tuple]]:
         counters = self._counters
@@ -206,7 +224,7 @@ class IndexScan:
         low_inclusive: bool = True,
         high_inclusive: bool = True,
         sargs: Sargs | None = None,
-        matcher: Callable[[tuple], bool] | None = None,
+        matcher: TupleMatcher | None = None,
         decode_plan: DecodePlan | None = None,
         batch_size: int = 1,
         decode_cache: dict[TupleId, tuple] | None = None,

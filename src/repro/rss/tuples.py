@@ -89,15 +89,19 @@ class DecodePlan:
 
     - schemas with no VARCHAR column have fixed payload offsets, so a
       NULL-free record decodes with a single precompiled
-      :class:`struct.Struct` unpack;
+      :class:`struct.Struct` unpack (:attr:`fixed`);
     - otherwise a precomputed per-column kind list drives a loop with no
       type-dispatch branching beyond one integer compare.
 
-    Output is byte-for-byte equivalent to :func:`decode_tuple` (gated by
-    ``tests/test_decode_plan.py``).
+    :meth:`decode` reads a record where it lies — at any offset of any
+    buffer, a page's bytes included — so a scan never copies a record out
+    first.  Output is byte-for-byte equivalent to :func:`decode_tuple`
+    (gated by ``tests/test_decode_plan.py``).
     """
 
-    __slots__ = ("datatypes", "bitmap_size", "base_offset", "_kinds", "_no_null", "_fixed")
+    __slots__ = (
+        "datatypes", "bitmap_size", "base_offset", "fixed", "_kinds", "_no_null"
+    )
 
     #: per-column kind codes used by the decode loop
     _INT, _FLOAT, _STR = 0, 1, 2
@@ -116,20 +120,26 @@ class DecodePlan:
             else:
                 kinds.append(self._STR)
         self._kinds = tuple(kinds)
-        self._fixed: struct.Struct | None = None
+        #: The whole payload of a NULL-free record as one unpack, when the
+        #: schema has no VARCHAR column; ``None`` otherwise.
+        self.fixed: struct.Struct | None = None
         if self._STR not in self._kinds:
             fmt = ">" + "".join("q" if k == self._INT else "d" for k in self._kinds)
-            self._fixed = struct.Struct(fmt)
+            self.fixed = struct.Struct(fmt)
 
-    def decode(self, record: bytes) -> tuple:
-        """Deserialize one record; equivalent to :func:`decode_tuple`."""
-        base = self.base_offset
-        bitmap = record[2:base]
-        if bitmap == self._no_null:
-            if self._fixed is not None:
-                return self._fixed.unpack_from(record, base)
+    def null_free_prefix(self, relation_id: int) -> bytes:
+        """The leading bytes of every NULL-free record of ``relation_id``:
+        its relation id followed by an all-zero null bitmap."""
+        return _U16.pack(relation_id) + self._no_null
+
+    def decode(self, record: bytes | bytearray, start: int = 0) -> tuple:
+        """Deserialize the record starting at ``record[start]``; equivalent
+        to :func:`decode_tuple` on that record's bytes."""
+        offset = start + self.base_offset
+        if record.startswith(self._no_null, start + 2):
+            if self.fixed is not None:
+                return self.fixed.unpack_from(record, offset)
             values: list[object] = []
-            offset = base
             for kind in self._kinds:
                 if kind == self._INT:
                     values.append(_I64.unpack_from(record, offset)[0])
@@ -143,8 +153,8 @@ class DecodePlan:
                     values.append(record[offset : offset + length].decode("utf-8"))
                     offset += length
             return tuple(values)
+        bitmap = record[start + 2 : start + self.base_offset]
         values = []
-        offset = base
         for position, kind in enumerate(self._kinds):
             if bitmap[position // 8] & (1 << (position % 8)):
                 values.append(None)

@@ -122,6 +122,18 @@ class InList(Expr):
     operand: Expr
     values: tuple[Literal, ...]
 
+    def distinct_values(self) -> tuple[Literal, ...]:
+        """The distinct non-NULL literals, first occurrence first.
+
+        These are all the list can match: a repeated literal matches
+        nothing new, and ``x = NULL`` is never true.
+        """
+        distinct: dict[object, Literal] = {}
+        for literal in self.values:
+            if literal.value is not None:
+                distinct.setdefault(literal.value, literal)
+        return tuple(distinct.values())
+
     def __str__(self) -> str:
         items = ", ".join(str(value) for value in self.values)
         return f"{self.operand} IN ({items})"

@@ -293,7 +293,7 @@ def test_every_scheduler_runs_the_same_scan_kernel(
     if sarg is not None:
         position, op, value = sarg
         sargs = Sargs([[SargPredicate(position, CompareOp(op), value)]])
-    decode = DecodePlan(datatypes).decode
+    plan = DecodePlan(datatypes)
     matcher = compile_matcher(sargs, datatypes)
     snapshot = db.storage.scan_snapshot(table)
     page_count = len(snapshot.page_ids)
@@ -306,7 +306,7 @@ def test_every_scheduler_runs_the_same_scan_kernel(
     counters, pages = scan_pages(
         snapshot.freeze_range(0, page_count),
         snapshot.relation_id,
-        decode,
+        plan,
         matcher,
         columns_processor(positions),
     )
@@ -318,7 +318,7 @@ def test_every_scheduler_runs_the_same_scan_kernel(
             scan_pages,
             snapshot.freeze_range(lo, hi),
             snapshot.relation_id,
-            decode,
+            plan,
             matcher,
             columns_processor(positions),
         )
@@ -470,7 +470,7 @@ def test_fold_pages_emits_runs_in_first_occurrence_order():
     counters, page_count, runs = fold_pages(
         snapshot.freeze_range(0, len(snapshot.page_ids)),
         snapshot.relation_id,
-        DecodePlan(datatypes).decode,
+        DecodePlan(datatypes),
         None,
         (0,),
         (None, 1),

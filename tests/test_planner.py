@@ -185,3 +185,62 @@ class TestCostOrdering:
         text = empdept.explain(FIG1_QUERY)
         assert "estimated cost" in text
         assert "scan" in text
+
+
+class TestInListPlans:
+    """An IN list with a repeated or NULL literal plans like its distinct
+    non-NULL literals: one SARG group each, so one value keeps the index."""
+
+    @pytest.fixture(scope="class")
+    def indexed(self):
+        from repro import Database
+        from repro.workloads import load_rows
+
+        db = Database()
+        db.execute("CREATE TABLE T (A INTEGER, B INTEGER)")
+        load_rows(db, "T", [(i % 100, i) for i in range(2000)])
+        db.execute("CREATE INDEX T_A ON T (A)")
+        db.execute("UPDATE STATISTICS")
+        return db
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "A IN (5)",
+            "A IN (5, 5, 5, 5, 5, 5, 5, 5)",
+            "A IN (5, NULL)",
+            "A IN (NULL, 5, 5)",
+        ],
+    )
+    def test_one_distinct_value_uses_the_index(self, indexed, where):
+        sql = f"SELECT B FROM T WHERE {where}"
+        planned = indexed.plan(sql)
+        scan = nodes_of(planned, ScanNode)[0]
+        assert isinstance(scan.access, IndexAccess)
+        assert scan.access.index.name == "T_A"
+        assert [len(group) for sarg in scan.sargs for group in sarg.groups] == [1]
+        assert scan.rows == pytest.approx(20.0)
+        expected = sorted(b for b in range(2000) if b % 100 == 5)
+        assert sorted(row[0] for row in indexed.execute(sql).rows) == expected
+
+    def test_duplicates_collapse_to_distinct_groups(self, indexed):
+        sql = "SELECT B FROM T WHERE A IN (5, 7, 5, NULL, 7)"
+        scan = nodes_of(indexed.plan(sql), ScanNode)[0]
+        groups = [group for sarg in scan.sargs for group in sarg.groups]
+        assert [str(group[0].value) for group in groups] == ["5", "7"]
+        assert scan.rows == pytest.approx(40.0)
+        expected = sorted(b for b in range(2000) if b % 100 in (5, 7))
+        assert sorted(row[0] for row in indexed.execute(sql).rows) == expected
+
+    def test_only_nulls_match_nothing(self, indexed):
+        sql = "SELECT B FROM T WHERE A IN (NULL, NULL)"
+        assert indexed.execute(sql).rows == []
+
+    def test_not_in_with_null_matches_nothing(self, indexed):
+        # NOT IN (5, NULL) is A <> 5 AND A <> NULL: unknown for every row.
+        sql = "SELECT B FROM T WHERE A NOT IN (5, NULL)"
+        assert indexed.execute(sql).rows == []
+        kept = indexed.execute("SELECT B FROM T WHERE A NOT IN (5, 5)").rows
+        assert sorted(row[0] for row in kept) == sorted(
+            b for b in range(2000) if b % 100 != 5
+        )

@@ -112,6 +112,31 @@ class TestInPredicates:
         values = ", ".join(str(i) for i in range(40))
         assert selectivity(catalog, f"DNO IN ({values})") == pytest.approx(0.5)
 
+    def test_in_list_counts_distinct_literals(self, catalog):
+        # A repeated literal selects nothing new: 8 copies of one value are
+        # one value's worth, and (1, 2, 1) is two values' worth.
+        assert selectivity(catalog, "DNO IN (5, 5, 5, 5, 5, 5, 5, 5)") == (
+            pytest.approx(1 / 50)
+        )
+        assert selectivity(catalog, "DNO IN (1, 2, 1)") == pytest.approx(2 / 50)
+
+    def test_in_list_ignores_null_literals(self, catalog):
+        # DNO = NULL is never true under WHERE, so NULL adds no value.
+        assert selectivity(catalog, "DNO IN (5, NULL)") == pytest.approx(1 / 50)
+        assert selectivity(catalog, "DNO IN (NULL)") == 0.0
+
+    def test_not_in_list_unchanged(self, catalog):
+        # NOT IN is a conjunction of <> factors, one per literal as written
+        # (a NULL among them makes every row unknown, so none is dropped).
+        block = Binder(catalog).bind(
+            parse_statement("SELECT * FROM EMP WHERE DNO NOT IN (1, 1, NULL)")
+        )
+        factors = to_cnf_factors(block.where, block)
+        estimator = SelectivityEstimator(catalog)
+        assert [estimator.factor_selectivity(f) for f in factors] == [
+            pytest.approx(1 - 1 / 50)
+        ] * 3
+
     def test_in_subquery(self, catalog):
         # F = expected subquery cardinality / product of subquery FROM
         # cardinalities.  LOC has no index: F_sub = 1/10, so the ratio is
