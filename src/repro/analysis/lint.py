@@ -408,7 +408,6 @@ _EXECUTOR_HOT_PATH_MODULES = frozenset(
         "engine/operators.py",
         "engine/fuse.py",
         "engine/parallel.py",
-        "engine/scheduler.py",
         "engine/temp.py",
         "engine/external_sort.py",
         "rss/scan.py",

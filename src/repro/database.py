@@ -18,6 +18,7 @@ other statement commits through the group-commit coordinator::
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field, replace
 
@@ -25,6 +26,7 @@ from .catalog.catalog import Catalog
 from .catalog.statistics import collect_statistics
 from .engine.evaluator import EvalEnv, evaluate
 from .engine.executor import (
+    SUBQUERY_CACHE_MODES,
     Executor,
     QueryResult,
     Runtime,
@@ -82,6 +84,16 @@ class Database:
         path: str | None = None,
         commit_timeout: float = DEFAULT_COMMIT_TIMEOUT,
     ):
+        # Validated eagerly: a bad setting fails at construction, not at
+        # the first SELECT after DDL and INSERTs have already run.
+        if not (math.isfinite(w) and w >= 0):
+            raise ValueError(f"bad w {w!r}: expected a finite number >= 0")
+        if subquery_cache_mode not in SUBQUERY_CACHE_MODES:
+            raise ValueError(
+                f"bad subquery_cache_mode {subquery_cache_mode!r}; valid "
+                "modes: " + ", ".join(SUBQUERY_CACHE_MODES)
+            )
+        resolve_exec_settings(exec_mode, workers)
         #: ``path`` opts into durability: statements commit to a
         #: shadow-paged backing file, and re-opening the same path recovers
         #: the last committed catalog and data.  ``None`` (the default)
@@ -95,13 +107,10 @@ class Database:
         self.use_heuristic = use_heuristic
         self.use_interesting_orders = use_interesting_orders
         self.subquery_cache_mode = subquery_cache_mode
-        # Validated eagerly: a mode typo or a bad count fails at
-        # construction, not at the first SELECT.
-        resolve_exec_settings(exec_mode, workers)
         #: "fused" / "parallel" / "interp" / None (None reads REPRO_EXEC
         #: at statement time, default fused) — chooses fused per-batch
-        #: pipelines, the same on a thread pool, or the reference
-        #: interpreter.
+        #: pipelines, the same with nested-loop probes answered by a hash
+        #: exchange on a thread pool, or the reference interpreter.
         self.exec_mode = exec_mode
         #: Worker count for ``parallel`` mode; None reads REPRO_WORKERS
         #: (falling back to the CPU count).

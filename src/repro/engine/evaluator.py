@@ -185,8 +185,8 @@ def like_regex(like_pattern: str) -> re.Pattern[str]:
     """The compiled regex for a LIKE pattern (``%`` → ``.*``, ``_`` → ``.``).
 
     Pure on purpose: an earlier module-level memo dict here was written
-    from inside plan compilation, which parallel execution runs on worker
-    threads.  The compiled path already calls this once per
+    from inside plan compilation, which concurrent client sessions run
+    on several threads at once.  The compiled path already calls this once per
     plan (``engine/compile.py``), and the interpreter path rides
     ``re.compile``'s internal cache, so the memo bought nothing.
     """

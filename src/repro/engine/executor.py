@@ -51,6 +51,9 @@ class QueryResult:
 #: Every execution engine an entry point may select.
 VALID_EXEC_MODES = ("fused", "parallel", "interp")
 
+#: Subquery result caching: previous-binding reuse (§6), none, or a memo.
+SUBQUERY_CACHE_MODES = ("prev", "none", "memo")
+
 
 def parse_workers(text: str, source: str) -> int:
     """A positive worker count from ``text``; ``source`` names it in the
@@ -136,12 +139,11 @@ class Runtime:
         exec_mode: str = "fused",
         workers: int = 1,
     ):
-        if subquery_cache_mode not in ("prev", "none", "memo"):
+        if subquery_cache_mode not in SUBQUERY_CACHE_MODES:
             raise ValueError(f"bad subquery_cache_mode {subquery_cache_mode!r}")
         self.interpret = exec_mode == "interp"
-        # Parallel mode rides the fused driver infrastructure: eligible
-        # chains get worker-pool drivers, everything else falls back to
-        # the serial fused engine.
+        # Parallel mode is the fused engine plus the nested-loop hash
+        # exchange, whose probe chunks run on the worker pool.
         self.parallel = exec_mode == "parallel"
         self.fused = not self.interpret
         self.workers = workers

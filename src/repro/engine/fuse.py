@@ -30,10 +30,12 @@ Pipeline breakers terminate chains and couple them batch-at-a-time:
   construction.
 
 A chain's per-tuple work is written once, as a **chunk processor**
-mapping SARG-matched ``(tid, values)`` pairs to an output batch; the
-serial driver here applies it over ``scan.batches()``, and the parallel
-engine hands the same processor to the scan kernel of
-:mod:`repro.engine.scheduler` on its pool workers.
+mapping SARG-matched ``(tid, values)`` pairs to an output batch, which
+the chain's driver applies over ``scan.batches()``.
+
+``exec_mode="parallel"`` compiles the same drivers with one exception:
+an eligible nested-loop join gets the hash exchange of
+:mod:`repro.engine.parallel` instead of :func:`_nested_loop_driver`.
 
 Counter fidelity: ``batches()`` does no RSI accounting; drivers charge
 ``CostCounters.count_rsi_call(len(batch))`` before a batch is processed.
@@ -42,7 +44,8 @@ stream here is fully consumed — the only partial consumer in the engine
 (the merge-join inner) stays on the per-tuple path.
 
 Drivers are compiled once per plan node and cached on
-``PlanNode.compiled`` (keys ``"fused"`` and ``"fused_out"``); they
+``PlanNode.compiled`` (keys ``"fused"`` and ``"fused_out"``, and
+``"parallel"`` and ``"parallel_out"`` for parallel mode); they
 capture only compiled programs and plan constants, never an execution
 context, so a cached plan re-executes with fresh runtimes.
 """
@@ -50,8 +53,8 @@ context, so a cached plan re-executes with fresh runtimes.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import partial
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from ..errors import ExecutionError
@@ -89,7 +92,6 @@ from .operators import (
     sort_rows,
 )
 from .rows import AGGREGATE_ALIAS, OUTPUT_ALIAS, Row
-from .scheduler import columns_getter, columns_processor, run_folder
 
 #: Rows per re-emitted batch downstream of a pipeline breaker.
 BREAKER_BATCH_SIZE = 1024
@@ -153,11 +155,11 @@ def describe_chains(node: PlanNode) -> list[str]:
 
 
 def _fused_program(node: PlanNode, ctx: ExecContext) -> BatchDriver:
-    # Parallel mode compiles its own driver tree: eligible chains get
-    # morsel-scheduled drivers, the rest the serial ones, and the
-    # distinct cache key keeps the two engines from mixing.  Drivers
-    # read ``ctx.workers`` at call time, so one cached parallel driver
-    # serves any worker count.
+    # Parallel mode compiles its own driver tree: an eligible nested-loop
+    # join gets the hash exchange, and every ancestor captures that
+    # driver, so a distinct cache key keeps the two engines from mixing.
+    # The exchange reads ``ctx.workers`` at call time, so one cached
+    # parallel driver serves any worker count.
     cache = node.compiled
     key = "parallel" if ctx.parallel else "fused"
     if key not in cache:
@@ -191,12 +193,6 @@ def _build_fused(node: PlanNode, ctx: ExecContext) -> BatchDriver:
     if isinstance(node, MergeJoinNode):
         return _merge_join_driver(node, ctx)
     if isinstance(node, HashJoinNode):
-        if ctx.parallel and node.partitions == 1:
-            from .parallel import parallel_hash_join_driver
-
-            driver = parallel_hash_join_driver(node, ctx)
-            if driver is not None:
-                return driver
         return _hash_join_driver(node, ctx)
     if isinstance(node, SortNode):
         return _sort_driver(node, ctx)
@@ -257,6 +253,19 @@ def _column_positions(exprs, alias: str) -> tuple[int, ...] | None:
     return tuple(positions) or None
 
 
+def columns_getter(positions: tuple[int, ...]):
+    """An ``itemgetter`` building an output tuple straight from one
+    scan's decoded values (a 1-tuple for a single position)."""
+    if len(positions) == 1:
+        get = itemgetter(positions[0])
+
+        def single(values: tuple, _get=get) -> tuple:
+            return (_get(values),)
+
+        return single
+    return itemgetter(*positions)
+
+
 def _rebatch(rows: Iterator[Row], size: int = BREAKER_BATCH_SIZE):
     """Chunk a row stream back into batches downstream of a breaker."""
     rows = iter(rows)
@@ -272,44 +281,26 @@ def _rebatch(rows: Iterator[Row], size: int = BREAKER_BATCH_SIZE):
 # ---------------------------------------------------------------------------
 
 
-def _scan_driver(
-    scan_node: ScanNode,
-    filters: list[FilterNode],
-    project: ProjectNode | None,
-    make_process,
-    ctx: ExecContext,
-) -> BatchDriver:
-    """Schedule a chain's chunk processor over its scan.
+def _scan_driver(scan_node: ScanNode, process, ctx: ExecContext) -> BatchDriver:
+    """Run a chain's chunk processor over its scan's batches.
 
-    ``make_process(ctx, outer)`` builds the per-chunk closure mapping
-    SARG-matched ``(tid, values)`` pairs to an output batch.  Parallel
-    mode hands the factory to the morsel scheduler when the chain is
-    eligible; otherwise the processor runs serially over
-    ``scan.batches()``.  Either way RSI is charged chunk-at-a-time
-    *before* residual evaluation — the same point in the stream the
-    per-tuple path charges each tuple, so fully consumed chains land on
-    identical totals.
+    ``process(env, chunk)`` maps SARG-matched ``(tid, values)`` pairs to
+    an output batch, with ``env`` a mutable environment fresh per open.
+    RSI is charged chunk-at-a-time *before* residual evaluation — the
+    same point in the stream the per-tuple path charges each tuple, so
+    fully consumed chains land on identical totals.
     """
     program = _program(scan_node, ctx, _build_scan)
-    if ctx.parallel:
-        from .parallel import parallel_scan_driver
-
-        exprs = [pred for f in filters for pred in f.predicates]
-        if project is not None:
-            exprs.extend(project.exprs)
-        parallel = parallel_scan_driver(scan_node, program, exprs, make_process)
-        if parallel is not None:
-            return parallel
 
     def driver(ctx: ExecContext, outer: EvalEnv | None):
         scan = open_scan(scan_node, program, ctx, outer)
         if scan is None:
             return
         count_rsi = ctx.storage.counters.count_rsi_call
-        process = make_process(ctx, outer)
+        env = ctx.env(Row(), outer)
         for batch in scan.batches():
             count_rsi(len(batch))
-            out = process(batch)
+            out = process(env, batch)
             if out:
                 yield out
 
@@ -327,16 +318,6 @@ def _chain_closures(
     preds.extend(_program(f, ctx, _build_filter) for f in filters)
     fns = None if project is None else _program(project, ctx, _build_project)
     return _combine(preds), fns
-
-
-def _with_env(process):
-    """A processor factory binding ``process(env, chunk)`` to a fresh
-    mutable environment per open (and per worker task)."""
-
-    def make_process(ctx: ExecContext, outer: EvalEnv | None):
-        return partial(process, ctx.env(Row(), outer))
-
-    return make_process
 
 
 def _scan_chain_driver(
@@ -409,7 +390,7 @@ def _scan_chain_driver(
                     )
             return out
 
-    return _scan_driver(scan_node, filters, project, _with_env(process), ctx)
+    return _scan_driver(scan_node, process, ctx)
 
 
 def _row_chain_driver(
@@ -585,7 +566,7 @@ def probe_hash_table(
     env: EvalEnv,
     count_rsi: Callable[[int], None],
 ) -> list[Row]:
-    """The probe loop over one batch (or one worker's chunk) of outer rows.
+    """The probe loop over one batch of outer rows.
 
     Each probed bucket charges its size in RSI calls before the residual
     runs, exactly like the per-tuple path; a key with a NULL component
@@ -669,12 +650,6 @@ def _sort_driver(node: SortNode, ctx: ExecContext) -> BatchDriver:
 def _aggregate_driver(node: AggregateNode, ctx: ExecContext) -> BatchDriver:
     shape = scan_fold_shape(node, ctx)
     if shape is not None:
-        if ctx.parallel:
-            from .parallel import parallel_aggregate_driver
-
-            par = parallel_aggregate_driver(node, ctx)
-            if par is not None:
-                return par
         return scan_fold_driver(node, ctx, shape)
     program = _program(node, ctx, _build_aggregate)
     source = _fused_program(node.child, ctx)
@@ -723,23 +698,19 @@ def scan_fold_shape(node: AggregateNode, ctx: ExecContext):
     return bottom, scan_program, key_positions, tuple(arg_positions)
 
 
-def scan_fold_driver(
-    node: AggregateNode, ctx: ExecContext, shape, morsel_runs=None
-) -> BatchDriver:
+def scan_fold_driver(node: AggregateNode, ctx: ExecContext, shape) -> BatchDriver:
     """``Scan→Aggregate`` folded over decoded storage tuples.
 
-    The per-tuple fold (:func:`~repro.engine.scheduler.run_folder`)
-    indexes the decoded values tuple directly — no composite ``Row``, no
-    environment, no compiled-closure calls below the group boundary.
+    The per-tuple fold (:func:`run_folder`) indexes the decoded values
+    tuple directly — no composite ``Row``, no environment, no
+    compiled-closure calls below the group boundary.
     One representative ``Row`` per *group* is built at emit for HAVING
     and downstream projection, exactly as the reference streaming
     aggregation builds it.
 
-    Serially the folder runs over ``scan.batches()`` and finished groups
-    emit between batches (a HAVING subquery keeps its place in the fetch
-    trace).  ``morsel_runs(ctx, outer)``, when given, instead yields each
-    morsel's partial runs in scan order; a group continuing across a
-    morsel seam has its partial states merged.
+    The folder runs over ``scan.batches()`` and finished groups emit
+    between batches (a HAVING subquery keeps its place in the fetch
+    trace).
     """
     scan_node, scan_program, key_positions, arg_positions = shape
     alias = scan_node.alias
@@ -766,25 +737,15 @@ def scan_fold_driver(
                 emit(Row(values={alias: values}, tids={alias: tid}), states)
             del runs[:count]
 
-        if morsel_runs is not None:
-            for morsel in morsel_runs(ctx, outer):
-                if runs and morsel and morsel[0][0] == runs[-1][0]:
-                    for mine, other in zip(runs[-1][1], morsel[0][1]):
-                        mine.merge(other)
-                    del morsel[0]
-                runs.extend(morsel)
+        scan = open_scan(scan_node, scan_program, ctx, outer)
+        if scan is not None:
+            count_rsi = ctx.storage.counters.count_rsi_call
+            fold = run_folder(runs, key_positions, arg_positions, aggregates)
+            for batch in scan.batches():
+                count_rsi(len(batch))
+                fold(batch)
                 if len(runs) > 1:
                     flush(len(runs) - 1)
-        else:
-            scan = open_scan(scan_node, scan_program, ctx, outer)
-            if scan is not None:
-                count_rsi = ctx.storage.counters.count_rsi_call
-                fold = run_folder(runs, key_positions, arg_positions, aggregates)
-                for batch in scan.batches():
-                    count_rsi(len(batch))
-                    fold(batch)
-                    if len(runs) > 1:
-                        flush(len(runs) - 1)
         if runs:
             flush(1)
         elif not grouped:
@@ -794,6 +755,38 @@ def scan_fold_driver(
             yield emitted
 
     return driver
+
+
+def run_folder(
+    runs: list[tuple],
+    key_positions: tuple[int, ...],
+    arg_positions: tuple[int | None, ...],
+    calls,
+):
+    """A chunk processor folding rows into per-group aggregate states.
+
+    Appends ``(key, states, tid, values)`` to ``runs`` in
+    first-occurrence order under streaming (adjacency) group semantics —
+    a key reappearing after another opens a new run — with ``tid`` and
+    ``values`` those of the run's first row.  The open group carries
+    across calls, so a consumer may emit and drop every run but the
+    last between chunks.
+    """
+    current_key: object = None
+    states: list[_AggState] = []
+
+    def fold(chunk) -> None:
+        nonlocal current_key, states
+        for tid, values in chunk:
+            key = tuple([values[p] for p in key_positions])
+            if key != current_key:
+                current_key = key
+                states = [_AggState(call) for call in calls]
+                runs.append((key, states, tid, values))
+            for state, position in zip(states, arg_positions):
+                state.add(None if position is None else values[position])
+
+    return fold
 
 
 def _distinct_driver(node: DistinctNode, ctx: ExecContext) -> BatchDriver:
@@ -879,20 +872,20 @@ def _scan_output_driver(
     When the whole select list is plain columns of the scanned relation
     the projection collapses to a single :func:`operator.itemgetter` over
     the decoded storage tuple — no environment, no ``Row``, no closure
-    calls per column — and, unfiltered, the processor needs no
-    environment at all.
+    calls per column — and, unfiltered, the processor never touches its
+    environment.
     """
     alias = scan_node.alias
     test, fns = _chain_closures(scan_node, filters, project, ctx)
     positions = _column_positions(project.exprs, alias)
 
     if test is None and positions is not None:
-        direct = columns_processor(positions)
-        return _scan_driver(
-            scan_node, filters, project, lambda ctx, outer: direct, ctx
-        )
+        getter = columns_getter(positions)
 
-    if test is None:
+        def process(env: EvalEnv, chunk):
+            return [getter(values) for __, values in chunk]
+
+    elif test is None:
 
         def process(env: EvalEnv, chunk):
             out = []
@@ -925,7 +918,7 @@ def _scan_output_driver(
                     append(tuple([fn(env) for fn in fns]))
             return out
 
-    return _scan_driver(scan_node, filters, project, _with_env(process), ctx)
+    return _scan_driver(scan_node, process, ctx)
 
 
 def _row_output_driver(

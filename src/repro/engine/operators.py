@@ -65,10 +65,10 @@ class ExecContext:
     #: When set, plans execute through the fused per-batch drivers of
     #: :mod:`repro.engine.fuse` instead of one generator per operator.
     fused: bool = False
-    #: When set (implies ``fused``), eligible fused chains run through the
-    #: worker-pool drivers of :mod:`repro.engine.parallel`.
+    #: When set (implies ``fused``), an eligible nested-loop join runs
+    #: through the worker-pool hash exchange of :mod:`repro.engine.parallel`.
     parallel: bool = False
-    #: Worker count for parallel drivers; read at call time, so compiled
+    #: Worker count for the exchange; read at call time, so compiled
     #: drivers cached on plan nodes stay worker-count-independent.
     workers: int = 1
 
@@ -205,17 +205,6 @@ def _build_scan(node: ScanNode, ctx: ExecContext) -> _ScanProgram:
     )
 
 
-def compile_sarg_matcher(
-    program: _ScanProgram, value_env: EvalEnv
-) -> Callable[[tuple], bool] | None:
-    """The scan's per-open SARG matcher: probe and correlation values are
-    evaluated against the enclosing environment chain and bound into the
-    node's generated predicate."""
-    if not program.sarg_values:
-        return None
-    return program.sarg.bind([fn(value_env) for fn in program.sarg_values])
-
-
 def open_scan(
     node: ScanNode,
     program: _ScanProgram,
@@ -232,7 +221,10 @@ def open_scan(
     fetches and counters are unaffected (see :mod:`repro.rss.scan`).
     """
     value_env = ctx.env(Row(), outer)
-    matcher = compile_sarg_matcher(program, value_env)
+    matcher = None
+    if program.sarg_values:
+        # Probe and correlation values bind into the generated predicate.
+        matcher = program.sarg.bind([fn(value_env) for fn in program.sarg_values])
     storage = ctx.storage
     if not program.low_fns and not program.high_fns and not isinstance(
         node.access, IndexAccess
@@ -680,20 +672,11 @@ def sort_rows(
     row_bytes = sum(
         max_record_size(datatypes) for __, datatypes in schema
     )
-    run_sorter = None
-    if ctx.parallel:
-        # Parallel mode sorts each workspace run on the worker pool;
-        # run boundaries and temp traffic are unchanged, so counters
-        # and row order stay bit-identical to the serial sorter.
-        from .parallel import parallel_run_sorter
-
-        run_sorter = parallel_run_sorter(ctx, node.keys)
     sorter = ExternalSorter(
         ctx.storage,
         schema,
         node.keys,
         memory_rows=workspace_rows(ctx.storage.buffer.capacity, row_bytes),
-        run_sorter=run_sorter,
     )
     return sorter.sort(child_rows)
 
@@ -741,36 +724,6 @@ class _AggState:
         elif name == "MAX":
             if self.maximum is None or value > self.maximum:  # type: ignore[operator]
                 self.maximum = value
-
-    def merge(self, other: "_AggState") -> None:
-        """Fold a later partial accumulator (same call, same group) in.
-
-        The parallel aggregate driver folds disjoint, scan-order
-        contiguous row slices into per-morsel states and merges at the
-        gather — the aggregate-state twin of ``CostCounters.merge``.
-        COUNT/SUM/AVG partials recompose by summation (column values
-        here are integers, so partial sums are exact); MIN/MAX combine
-        by comparison.  DISTINCT partials re-fold the other side's value
-        set through :meth:`add`, which dedupes against this side before
-        counting.
-        """
-        if self.call.argument is None:  # COUNT(*)
-            self.count += other.count
-            return
-        if self.distinct is not None:
-            for value in other.distinct or ():
-                self.add(value)
-            return
-        self.count += other.count
-        self.total += other.total  # type: ignore[operator]
-        if other.minimum is not None and (
-            self.minimum is None or other.minimum < self.minimum  # type: ignore[operator]
-        ):
-            self.minimum = other.minimum
-        if other.maximum is not None and (
-            self.maximum is None or other.maximum > self.maximum  # type: ignore[operator]
-        ):
-            self.maximum = other.maximum
 
     def result(self) -> object:
         """The aggregate's final value for the finished group."""

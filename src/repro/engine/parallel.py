@@ -1,107 +1,76 @@
-"""Worker-pool parallel execution of fused scan pipelines.
+"""The parallel engine: the fused engine plus one hash exchange.
 
-``REPRO_EXEC=parallel`` schedules the fused ``Scan→Filter*→Project``
-chains over page morsels of a segment concurrently: the segment's page
-list is snapshotted once per driver call
-(:meth:`repro.rss.storage.StorageEngine.scan_snapshot`), split into
-morsels, and each morsel is handed to a worker running the one scan
-kernel (:func:`repro.engine.scheduler.scan_pages`) with the *same*
-chunk processor — built once in :mod:`repro.engine.fuse` from the same
-compiled closures — the serial driver applies over ``scan.batches()``.
-This module owns only what is parallel-specific: eligibility, the
-gather, and the exchanges.  A nested-loop join gets an exchange operator
-instead: equality probe SARGs hash-repartition the inner relation once
-per statement, and workers answer probes by bucket lookup rather than
-by rescanning the inner pages.
+``exec_mode="parallel"`` runs every plan through the fused drivers of
+:mod:`repro.engine.fuse` except one shape.  A nested-loop join whose inner
+is a plain segment scan with at least one all-equality probe SARG is
+answered from a **hash exchange**: the inner relation is hashed once per
+statement on its probe-key columns, and each outer batch is split into
+probe chunks that run on the worker pool of
+:mod:`repro.engine.scheduler`.  The serial fused driver rescans every
+inner page per outer row; the exchange turns each probe into a bucket
+lookup.
 
-Counter fidelity is the contract that keeps every parallel run's cost
+Counter fidelity is the contract that keeps a parallel run's cost
 counters bit-identical to ``fused`` (``repro check --fusion`` checks it):
 
-- **RSI calls** are order-independent sums.  Every worker counts into its
-  own private :class:`~repro.rss.counters.CostCounters` and the driving
-  thread folds them into the statement's counters with
+- **RSI calls** are order-independent sums.  Every probe chunk counts
+  into its own private :class:`~repro.rss.counters.CostCounters` and the
+  driving thread folds them into the statement's counters with
   :meth:`~repro.rss.counters.CostCounters.merge` as results drain; the
   sum is exact because counters only ever increment outside
   :class:`~repro.rss.counters.CostCounters`.
 - **Page fetches and buffer hits** depend on LRU order, so workers never
-  touch the buffer pool: they read frozen pages directly from the page
-  store (a plain dict lookup with no counter effects), and the driving
-  thread *replays* ``BufferPool.fetch`` in exact serial page order,
-  lazily, as batches are pulled downstream.  The fetch/hit trace is
-  therefore byte-identical to the serial engine's, including its
-  interleaving with any downstream breaker's page traffic.
+  touch the buffer pool: the buckets are built from pages read straight
+  from the page store (a plain dict lookup with no counter effects), and
+  the driving thread *replays* ``BufferPool.fetch`` over every inner
+  page once per probe, in probe order, exactly as the serial rescan
+  fetched them.
 
-Row order is preserved by construction: morsels are contiguous page
-ranges, the gather concatenates morsel results in submission order, and
-hash buckets are built in (page, slot) order, so every driver emits rows
-in exactly the serial scan order — no sort is needed to keep
-order-dependent plans honest.
+Row order is preserved by construction: buckets are built in (page,
+slot) order, probe chunks are contiguous slices of the outer batch, and
+the gather concatenates chunk results in submission order.
 
-Eligibility is strict and failure is silent: a chain whose SARG values,
-residuals, filters, or projections contain a subquery, or whose access
-path is an index (the B-tree descent *is* the fetch trace), builds no
-parallel driver and :mod:`repro.engine.fuse` falls back to the serial
-fused driver.  Subqueries still parallelize internally — their own plans
-compile their own drivers — while the enclosing chain keeps its exact
-per-probe evaluation cadence.
-
-Scheduling lives in :mod:`repro.engine.scheduler`: scans decompose
-into fixed-size page morsels pulled from the thread pool's shared queue
-by idle workers (work-stealing by construction).  On top of the
-scheduler the two serial breakers go parallel:
-:func:`parallel_aggregate_driver` feeds per-morsel partial aggregates to
-the shared streaming fold driver, and :func:`parallel_run_sorter` feeds
-per-worker sorted runs into the external sort's k-way merge.
+Eligibility is strict and failure is silent: a join whose SARG values,
+inner residual or join residual contain a subquery, or whose inner is an
+index scan (the B-tree descent *is* the fetch trace), builds no exchange
+and :mod:`repro.engine.fuse` falls back to the serial fused driver.
 """
 
 from __future__ import annotations
 
-import heapq
-from functools import partial
-
 from ..optimizer.bound import BoundSubquery
-from ..optimizer.plan import (
-    AggregateNode,
-    HashJoinNode,
-    IndexAccess,
-    NestedLoopJoinNode,
-    ScanNode,
-)
+from ..optimizer.plan import IndexAccess, NestedLoopJoinNode, ScanNode
 from ..rss.counters import CostCounters
 from ..rss.sargs import CompareOp, SargProgram, sarg_program
 from ..rss.scan import page_rows
 from ..rss.tuples import DecodePlan
 from ..sql import ast
 from .evaluator import EvalEnv
-from .external_sort import _HeapKey, _sorted_run
 from .operators import (
     ExecContext,
-    _build_hash_join,
     _build_nested_loop,
     _build_scan,
-    _HashJoinProgram,
     _program,
     _ScanProgram,
-    build_hash_table,
-    compile_sarg_matcher,
 )
 from .rows import Row
-from .scheduler import (
-    fold_pages,
-    get_backend,
-    morsel_pages,
-    morsel_ranges,
-    partition_ranges,
-    scan_pages,
-)
+from .scheduler import get_backend
 
 #: Outer rows per probe task for the nested-loop exchange.
 _PROBE_CHUNK = 64
 
-#: Below this workspace size a parallel sorted run is not worth the
-#: slice/merge overhead; the run sorts serially (results are identical
-#: either way — ``parallel_run_sorter`` is differentially gated).
-_SORT_SLICE_MIN_ROWS = 512
+
+def partition_ranges(count: int, parts: int) -> list[tuple[int, int]]:
+    """Split ``range(count)`` into at most ``parts`` contiguous ranges."""
+    parts = max(1, min(parts, count))
+    base, extra = divmod(count, parts)
+    ranges: list[tuple[int, int]] = []
+    start = 0
+    for index in range(parts):
+        size = base + (1 if index < extra else 0)
+        ranges.append((start, start + size))
+        start += size
+    return ranges
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +87,7 @@ def _subquery_free(exprs) -> bool:
 
     Subquery evaluation mutates statement-scoped caches and fetches pages
     mid-expression; both would break worker confinement and the replayed
-    fetch trace, so any subquery anywhere in a chain vetoes parallelism.
+    fetch trace, so any subquery anywhere in the join vetoes the exchange.
     """
     for expr in exprs:
         for node in ast.walk_expr(expr):
@@ -137,99 +106,15 @@ def _scan_exprs(node: ScanNode) -> list:
 
 
 def _segment_scan_eligible(node: ScanNode, program: _ScanProgram) -> bool:
-    """Parallel drivers handle plain segment scans only.
+    """The exchange hashes plain segment-scan inners only.
 
     An index scan's B-tree descent and per-entry data-page fetches *are*
-    its cost trace — there is no counter-free way to compute them ahead on
-    a worker — so index access paths stay on the serial fused driver.
+    its cost trace — there is no counter-free way to compute them ahead of
+    the probes — so index inners stay on the serial fused driver.
     """
     if isinstance(node.access, IndexAccess):
         return False
     return not program.low_fns and not program.high_fns
-
-
-# ---------------------------------------------------------------------------
-# morsel-scheduled segment scans
-# ---------------------------------------------------------------------------
-
-
-def _morsel_results(
-    scan_node: ScanNode,
-    program: _ScanProgram,
-    ctx: ExecContext,
-    outer: EvalEnv | None,
-    make_task,
-):
-    """Fan a segment scan's page morsels out; yield ``(page_ids, result)``
-    per morsel in submission order with its private counters merged.
-
-    ``make_task(pages, relation_id, plan, matcher)`` returns the
-    zero-argument worker task running the scan kernel over one morsel's
-    frozen ``(page_id, Page)`` pairs.  The caller replays
-    ``buffer.fetch`` over each morsel's ``page_ids`` — lazily, at the
-    point the serial scan would have fetched them.
-    """
-    snapshot = ctx.storage.scan_snapshot(scan_node.table)
-    page_ids = snapshot.page_ids
-    if not page_ids:
-        return
-    plan = program.decode_plan
-    matcher = compile_sarg_matcher(program, ctx.env(Row(), outer))
-    ranges = morsel_ranges(len(page_ids), morsel_pages())
-    tasks = [
-        make_task(
-            snapshot.freeze_range(lo, hi), snapshot.relation_id, plan, matcher
-        )
-        for lo, hi in ranges
-    ]
-    merge = ctx.storage.counters.merge
-    results = get_backend(ctx.workers).imap(tasks)
-    for (lo, hi), result in zip(ranges, results):
-        merge(result[0])
-        yield page_ids[lo:hi], result
-
-
-def parallel_scan_driver(
-    scan_node: ScanNode,
-    program: _ScanProgram,
-    exprs: list,
-    make_process,
-):
-    """A morsel-parallel ``Scan→Filter*→Project?`` driver, or ``None``.
-
-    ``make_process(ctx, outer)`` is the chain's chunk processor factory
-    from :mod:`repro.engine.fuse` — the very closures the serial driver
-    runs — and ``exprs`` the filter and projection expressions it
-    evaluates, for the subquery veto.  Each task runs the scan kernel
-    with a processor (and mutable environment) of its own.
-    """
-    if not _segment_scan_eligible(scan_node, program):
-        return None
-    if not _subquery_free(_scan_exprs(scan_node) + exprs):
-        return None
-
-    def driver(ctx: ExecContext, outer: EvalEnv | None):
-        def make_task(pages, relation_id, plan, matcher):
-            return partial(
-                scan_pages,
-                pages,
-                relation_id,
-                plan,
-                matcher,
-                make_process(ctx, outer),
-            )
-
-        fetch = ctx.storage.buffer.fetch
-        for page_ids, (__, pages) in _morsel_results(
-            scan_node, program, ctx, outer, make_task
-        ):
-            for page_id, chunks in zip(page_ids, pages):
-                fetch(page_id)
-                for out in chunks:
-                    if out:
-                        yield out
-
-    return driver
 
 
 # ---------------------------------------------------------------------------
@@ -430,163 +315,3 @@ def parallel_nested_loop_driver(node: NestedLoopJoinNode, ctx: ExecContext):
                 yield out
 
     return driver
-
-
-# ---------------------------------------------------------------------------
-# exchange: partitioned probes over a shared hash-join build table
-# ---------------------------------------------------------------------------
-
-
-def parallel_hash_join_driver(node: HashJoinNode, ctx: ExecContext):
-    """A partitioned-probe hash-join driver, or ``None`` when ineligible.
-
-    The build side is consumed serially on the driving thread through the
-    same counted inner scan the serial operator uses, so the build's
-    fetch/RSI trace is the statement's own.  The finished table is then
-    shared read-only: workers answer contiguous chunks of outer-batch
-    probes with private counters that the gather merges in chunk order,
-    and chunk results concatenate back into the serial emit order.  Grace
-    plans (``partitions > 1``) spill through counted temp lists whose
-    traffic is inherently serial, so they stay on the serial driver (the
-    fuse dispatch never routes them here).
-    """
-    if not _subquery_free(node.residual):
-        return None
-    program: _HashJoinProgram = _program(node, ctx, _build_hash_join)
-    from .fuse import _fused_program, probe_hash_table
-
-    outer_source = _fused_program(node.outer, ctx)
-
-    def driver(ctx: ExecContext, outer: EvalEnv | None):
-        table = build_hash_table(node, program, ctx, outer)
-
-        def probe_chunk(outer_rows: list[Row]) -> tuple[CostCounters, list[Row]]:
-            # The serial probe loop against a private environment and
-            # private counters.  The table is frozen before any task is
-            # submitted and probes never touch the buffer pool, so no
-            # fetch replay is needed.
-            counters = CostCounters()
-            joined = probe_hash_table(
-                outer_rows,
-                table,
-                program,
-                ctx.env(Row(), outer),
-                counters.count_rsi_call,
-            )
-            return counters, joined
-
-        backend = get_backend(ctx.workers)
-        merge = ctx.storage.counters.merge
-        for outer_batch in outer_source(ctx, outer):
-            tasks = [
-                partial(probe_chunk, outer_batch[lo:hi])
-                for lo, hi in partition_ranges(
-                    len(outer_batch),
-                    max(backend.workers, len(outer_batch) // _PROBE_CHUNK),
-                )
-            ]
-            out: list[Row] = []
-            extend = out.extend
-            for counters, rows in backend.imap(tasks):
-                merge(counters)
-                extend(rows)
-            if out:
-                yield out
-
-    return driver
-
-
-# ---------------------------------------------------------------------------
-# breaker: partial aggregation over scan morsels
-# ---------------------------------------------------------------------------
-
-
-def parallel_aggregate_driver(node: AggregateNode, ctx: ExecContext):
-    """A morsel-parallel ``Scan→Aggregate`` driver, or ``None``.
-
-    Eligible exactly where the serial streaming fold of
-    ``fuse._aggregate_driver`` is (bare scan, no residual, plain-column
-    keys and arguments) plus the parallel preconditions (segment access,
-    subquery-free SARG values and HAVING).  Workers run the fold kernel
-    over their morsels; the shared fold driver merges a morsel's first
-    run into the previous morsel's last run when they share a key
-    (:meth:`_AggState.merge` — the mergeable-partial twin of the
-    counter-merge discipline), so group boundaries, representatives,
-    and results reproduce the serial scan-order fold bit-for-bit.
-    Aggregate folds touch no counters, so the fetch replay per morsel
-    keeps the serial page trace.
-    """
-    from .fuse import scan_fold_driver, scan_fold_shape
-
-    shape = scan_fold_shape(node, ctx)
-    if shape is None:
-        return None
-    scan_node, scan_program, key_positions, arg_positions = shape
-    if not _segment_scan_eligible(scan_node, scan_program):
-        return None
-    having_exprs = [] if node.having is None else [node.having]
-    if not _subquery_free(_scan_exprs(scan_node) + having_exprs):
-        return None
-    aggregates = tuple(node.aggregates)
-
-    def make_task(pages, relation_id, plan, matcher):
-        return partial(
-            fold_pages,
-            pages,
-            relation_id,
-            plan,
-            matcher,
-            key_positions,
-            arg_positions,
-            aggregates,
-        )
-
-    def morsel_runs(ctx: ExecContext, outer: EvalEnv | None):
-        fetch = ctx.storage.buffer.fetch
-        for page_ids, (__, ___, runs) in _morsel_results(
-            scan_node, scan_program, ctx, outer, make_task
-        ):
-            for page_id in page_ids:
-                fetch(page_id)
-            yield runs
-
-    return scan_fold_driver(node, ctx, shape, morsel_runs)
-
-
-# ---------------------------------------------------------------------------
-# breaker: parallel sorted-run generation
-# ---------------------------------------------------------------------------
-
-
-def parallel_run_sorter(ctx: ExecContext, keys):
-    """A drop-in ``run_sorter`` for :class:`ExternalSorter`: per-worker
-    sorted slices k-way-merged into one run.
-
-    The workspace splits into contiguous slices, each stably sorted on a
-    pool worker, and ``heapq.merge`` reassembles them — equal keys prefer the earlier
-    slice, which combined with slice contiguity and per-slice stability
-    reproduces the serial stable sort's order exactly.  Run boundaries,
-    contents, and temp-list traffic are untouched, so the sort's cost
-    trace is bit-identical to the serial sorter's.
-    """
-    keys = list(keys)
-
-    def sort_run(rows):
-        backend = get_backend(ctx.workers)
-        if backend.workers <= 1 or len(rows) < _SORT_SLICE_MIN_ROWS:
-            return _sorted_run(rows, keys)
-        slices = [
-            rows[lo:hi]
-            for lo, hi in partition_ranges(len(rows), backend.workers)
-        ]
-        tasks = [
-            (lambda part=part: _sorted_run(part, keys)) for part in slices
-        ]
-        ordered = list(backend.imap(tasks))
-
-        def merge_key(row, _keys=keys):
-            return _HeapKey(row, _keys)
-
-        return list(heapq.merge(*ordered, key=merge_key))
-
-    return sort_run

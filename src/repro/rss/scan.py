@@ -36,11 +36,11 @@ through one generated predicate per SARG shape, bound to the scan's
 constants at open (see :mod:`repro.rss.sargs`), and records decode
 through a per-relation :class:`~repro.rss.tuples.DecodePlan`.
 
-Every segment scan, serial or parallel, turns a fetched page into rows
-through one function, :func:`page_rows`: one pass over the page bytes
-that reads the slot directory at once, recognizes a NULL-free record of
-the relation by one byte-prefix compare, unpacks it straight from the
-page, and tests the SARGs before a TID is built.
+Every segment scan, and the parallel exchange's bucket build, turns a
+page into rows through one function, :func:`page_rows`: one pass over
+the page bytes that reads the slot directory at once, recognizes a
+NULL-free record of the relation by one byte-prefix compare, unpacks it
+straight from the page, and tests the SARGs before a TID is built.
 
 A consumer that re-opens the *same* scan many times against unchanged
 pages — the fused nested-loop driver probing its inner relation once per
@@ -102,8 +102,8 @@ def page_rows(
     The matcher runs before a ``TupleId`` is built.
 
     Pure over the page — no counters, no buffer — which is what lets
-    parallel workers run it against a page-store snapshot while the
-    driving thread replays the buffer-pool fetches.
+    the parallel exchange hash a page-store snapshot while the driving
+    thread replays the buffer-pool fetches.
     """
     data = page.data
     starts = data.startswith

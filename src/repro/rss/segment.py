@@ -36,8 +36,8 @@ class Segment:
         self.name = name
         self._store = store
         self._buffer = buffer
-        # Mutated only by DML on the driving thread; parallel scans freeze
-        # their view with ScanSnapshot (a tuple copy) before fanning out.
+        # Mutated only by DML on the driving thread; the parallel exchange
+        # freezes its view with ScanSnapshot (a tuple copy) before hashing.
         self.page_ids: list[int] = []
 
     # -- modification ------------------------------------------------------

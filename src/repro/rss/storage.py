@@ -48,32 +48,20 @@ FP_GROUP_COMMIT_BEFORE_FLIP = register_point(
 
 @dataclass(frozen=True)
 class ScanSnapshot:
-    """Read-only view of one relation's segment for parallel workers.
+    """Read-only view of one relation's segment for the parallel exchange.
 
     The page list is frozen at snapshot time (the same freeze
     :class:`~repro.rss.scan.SegmentScan` performs at open) and
     ``get_page`` reads pages straight from the page store — a plain
     lookup with **no** buffer-pool traffic and **no** counter effects.
     The statement's driving thread owns the cost trace: it replays
-    ``BufferPool.fetch`` over these page ids in serial order while
-    workers consume the snapshot.
+    ``BufferPool.fetch`` over these page ids in serial order while the
+    exchange answers probes from the hashed snapshot.
     """
 
     page_ids: tuple[int, ...]
     relation_id: int
     get_page: Callable[[int], object]
-
-    def freeze_range(self, lo: int, hi: int) -> tuple:
-        """Materialize pages ``lo:hi`` as ``(page_id, Page)`` pairs.
-
-        The driving thread resolves each morsel's pages up front (against
-        the live page store or a pinned session version) and hands the
-        pairs to the worker running the scan kernel.
-        """
-        return tuple(
-            (page_id, self.get_page(page_id))
-            for page_id in self.page_ids[lo:hi]
-        )
 
 
 @dataclass(frozen=True)
@@ -125,7 +113,7 @@ class ScanSurface:
         )
 
     def scan_snapshot(self, table: TableDef) -> ScanSnapshot:
-        """A frozen page list plus direct page-store access for workers."""
+        """A frozen page list plus direct page-store access, no counters."""
         return ScanSnapshot(
             page_ids=tuple(self.segment(table.segment_name).page_ids),
             relation_id=table.relation_id,

@@ -109,6 +109,23 @@ def test_column_named_twice_is_rejected(db, sql):
     assert db.catalog.indexes_on("T") == []
 
 
+@pytest.mark.parametrize(
+    "setting,bad",
+    [
+        ("w", float("nan")),
+        ("w", float("inf")),
+        ("w", -1.0),
+        ("subquery_cache_mode", "memoize"),
+    ],
+    ids=["w-nan", "w-inf", "w-negative", "cache-memoize"],
+)
+def test_bad_settings_fail_at_construction(setting, bad):
+    """A setting that would break the first SELECT fails before any DDL or
+    INSERT can run, naming the bad value."""
+    with pytest.raises(ValueError, match=str(bad)):
+        Database(**{setting: bad})
+
+
 class TestUpdateDelete:
     def test_update_with_where(self, people):
         result = people.execute("UPDATE P SET AGE = 26 WHERE NAME = 'BOB'")

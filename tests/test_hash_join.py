@@ -9,7 +9,7 @@ over physically identical databases and must produce identical rows
 *and* identical cost counters.  A hypothesis sweep with NULL-laden
 join keys pins three-valued logic (NULL keys never match) against a naive
 Python reference join, and the full fault matrix replays mixed DML whose
-statements plan hash joins under ``REPRO_EXEC=parallel``.
+statements read through the fused engine's hash join.
 """
 
 from __future__ import annotations
@@ -336,12 +336,12 @@ class TestDML:
 
 
 # ---------------------------------------------------------------------------
-# the fault matrix, under REPRO_EXEC=parallel, on hash-join statements
+# the fault matrix on hash-join statements, through the fused hash join
 # ---------------------------------------------------------------------------
 
 
 def _fault_db(path) -> Database:
-    db = Database(path=str(path), buffer_pages=4)
+    db = Database(path=str(path), buffer_pages=4, exec_mode="fused")
     db.execute("CREATE TABLE T1 (K INTEGER, V INTEGER, PAD VARCHAR(300))")
     db.execute("CREATE TABLE T2 (K INTEGER, W INTEGER, PAD VARCHAR(300))")
     load_rows(
@@ -388,9 +388,7 @@ HASH_FAULT_MATRIX = [
     "point,action", HASH_FAULT_MATRIX,
     ids=[f"{p}:{a}" for p, a in HASH_FAULT_MATRIX],
 )
-def test_parallel_hash_join_fault_matrix(tmp_path, monkeypatch, point, action):
-    monkeypatch.setenv("REPRO_EXEC", "parallel")
-    monkeypatch.setenv("REPRO_WORKERS", "2")
+def test_fused_hash_join_fault_matrix(tmp_path, point, action):
     db = _fault_db(tmp_path / "db.pages")
     injector = get_injector()
     injector.arm(FaultPlan(point, hit=1, action=action))
