@@ -37,7 +37,9 @@ from ..workloads.generator import (
     ColumnSpec,
     TableSpec,
     build_database,
+    clique_join_query,
     random_chain_spec,
+    random_clique_spec,
     random_select_query,
     random_star_spec,
     star_join_query,
@@ -153,41 +155,54 @@ def generated_batches(
 ) -> list[tuple[Database, list[str]]]:
     """``count`` generated queries in batches sharing one random schema.
 
-    Alternates chain-join and star-join schemas; chain batches use
-    :func:`random_select_query` (random equality filters), star batches
-    random filters on dimension attributes.
+    Cycles through chain-join, star-join and clique-join schemas; chain
+    batches use :func:`random_select_query` (random equality filters),
+    star batches random filters on dimension attributes, clique batches
+    random filters on any table's attribute.  Cliques of 3-5 tables are
+    the dense join graphs where the join search's bound prunes most.
     """
     rng = random.Random(seed)
     batches: list[tuple[Database, list[str]]] = []
     remaining = count
-    star = False
+    topology = 0
     while remaining > 0:
         size = min(batch_size, remaining)
         remaining -= size
-        if star:
+        if topology == 1:
             specs = random_star_spec(rng.randint(2, 4), rng, fact_rows=600)
             db = build_database(specs, seed=rng.randrange(1 << 30))
-            queries = [_random_star_query(specs, rng) for __ in range(size)]
+            queries = [
+                star_join_query(specs, _random_filters(specs[1:], rng))
+                for __ in range(size)
+            ]
+        elif topology == 2:
+            specs = random_clique_spec(rng.randint(3, 5), rng, max_rows=200)
+            db = build_database(specs, seed=rng.randrange(1 << 30))
+            queries = [
+                clique_join_query(specs, _random_filters(specs, rng))
+                for __ in range(size)
+            ]
         else:
             specs = random_chain_spec(rng.randint(3, 5), rng, max_rows=400)
             db = build_database(specs, seed=rng.randrange(1 << 30))
             queries = [random_select_query(specs, rng) for __ in range(size)]
         batches.append((db, queries))
-        star = not star
+        topology = (topology + 1) % 3
     return batches
 
 
-def _random_star_query(
+def _random_filters(
     specs: list[TableSpec], rng: random.Random, max_selections: int = 2
-) -> str:
+) -> list[tuple[str, str, int]]:
+    """Up to ``max_selections`` equality filters on the tables' ATTR."""
     selections: list[tuple[str, str, int]] = []
     for __ in range(rng.randint(0, max_selections)):
-        spec = rng.choice(specs[1:])  # a dimension table
+        spec = rng.choice(specs)
         column = spec.column("ATTR")
         selections.append(
             (spec.name, "ATTR", column.low + rng.randrange(column.distinct))
         )
-    return star_join_query(specs, selections)
+    return selections
 
 
 # ---------------------------------------------------------------------------

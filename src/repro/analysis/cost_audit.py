@@ -20,7 +20,9 @@ Three layers:
   selectivity; it also sanity-checks the statistics themselves.
 - ``audit_search_stats`` verifies the DP search's pruning decisions: no
   pruned candidate may have been cheaper than the surviving solution of
-  its (relation set, order class) equivalence class.
+  its (relation set, order class) equivalence class, every bound-pruned
+  candidate must cost strictly more than the bound U, and the chosen
+  plan's finished total must not exceed U.
 """
 
 from __future__ import annotations
@@ -611,27 +613,45 @@ def _audit_cost_algebra(violations: list[Violation]) -> None:
 
 
 def audit_search_stats(stats) -> list[Violation]:
-    """Verify recorded DP prunes: no pruned plan beat its survivor.
+    """Verify recorded DP prunes: no pruned plan beat its survivor or U.
 
     ``stats`` is a :class:`~repro.optimizer.joins.SearchStats` whose
-    ``pruned`` / ``survivor_totals`` fields were filled by a search run
-    with ``record_prunes=True`` (the ``REPRO_CHECK=1`` flag arranges
-    this).  A pruned candidate cheaper than the surviving entry of its
-    (relation set, order class) would mean the DP discarded the optimum.
+    ``pruned`` / ``bound_pruned`` / ``survivor_totals`` fields were filled
+    by a search run with ``record_prunes=True`` (the ``REPRO_CHECK=1``
+    flag arranges this).  A pruned candidate cheaper than the surviving
+    entry of its (relation set, order class) would mean the DP discarded
+    the optimum.  A bound-pruned candidate must cost strictly more than
+    the bound U, and the chosen plan's finished total must be at most U:
+    a bound below the optimum would have pruned the optimum's prefixes.
     """
     violations: list[Violation] = []
-    survivors = getattr(stats, "survivor_totals", None)
-    pruned = getattr(stats, "pruned", None)
-    if not pruned:
-        return violations
-    if survivors is None:
-        survivors = {}
-    for record in pruned:
+    survivors = stats.survivor_totals
+    for record in stats.bound_pruned:
+        if not record.total > stats.bound:
+            violations.append(
+                Violation(
+                    "bound-prune-within-bound",
+                    _subset_label(stats, record.mask),
+                    f"a candidate with order {record.order_key} costing "
+                    f"{record.total:.4f} was bound-pruned but does not "
+                    f"exceed the bound {stats.bound:.4f}",
+                )
+            )
+    if stats.chosen_total is not None and not _leq(
+        stats.chosen_total, stats.bound
+    ):
+        violations.append(
+            Violation(
+                "bound-below-optimum",
+                _subset_label(stats, (1 << len(stats.alias_order)) - 1),
+                f"the chosen plan's finished total {stats.chosen_total:.4f} "
+                f"exceeds the bound {stats.bound:.4f}",
+            )
+        )
+    for record in stats.pruned:
         key = (record.mask, record.order_key)
         survivor = survivors.get(key)
-        # Prune records carry bitmask subset keys; translate them back to
-        # alias names only here, at the reporting boundary.
-        where = "{" + ", ".join(sorted(stats.aliases_of(record.mask))) + "}"
+        where = _subset_label(stats, record.mask)
         if survivor is None:
             violations.append(
                 Violation(
@@ -652,3 +672,9 @@ def audit_search_stats(stats) -> list[Violation]:
                 )
             )
     return violations
+
+
+def _subset_label(stats, mask: int) -> str:
+    # Prune records carry bitmask subset keys; translate them back to
+    # alias names only here, at the reporting boundary.
+    return "{" + ", ".join(sorted(stats.aliases_of(mask))) + "}"

@@ -69,6 +69,21 @@ class StatementResult:
         return QueryResult(self.columns, self.rows).scalar()
 
 
+def _check_w(w: float) -> float:
+    if not (math.isfinite(w) and w >= 0):
+        raise ValueError(f"bad w {w!r}: expected a finite number >= 0")
+    return w
+
+
+def _check_cache_mode(mode: str) -> str:
+    if mode not in SUBQUERY_CACHE_MODES:
+        raise ValueError(
+            f"bad subquery_cache_mode {mode!r}; valid "
+            "modes: " + ", ".join(SUBQUERY_CACHE_MODES)
+        )
+    return mode
+
+
 class Database:
     """An in-process relational database with a Selinger-style optimizer."""
 
@@ -85,14 +100,10 @@ class Database:
         commit_timeout: float = DEFAULT_COMMIT_TIMEOUT,
     ):
         # Validated eagerly: a bad setting fails at construction, not at
-        # the first SELECT after DDL and INSERTs have already run.
-        if not (math.isfinite(w) and w >= 0):
-            raise ValueError(f"bad w {w!r}: expected a finite number >= 0")
-        if subquery_cache_mode not in SUBQUERY_CACHE_MODES:
-            raise ValueError(
-                f"bad subquery_cache_mode {subquery_cache_mode!r}; valid "
-                "modes: " + ", ".join(SUBQUERY_CACHE_MODES)
-            )
+        # the first SELECT after DDL and INSERTs have already run.  The
+        # ``w`` and ``subquery_cache_mode`` setters run the same checks.
+        _check_w(w)
+        _check_cache_mode(subquery_cache_mode)
         resolve_exec_settings(exec_mode, workers)
         #: ``path`` opts into durability: statements commit to a
         #: shadow-paged backing file, and re-opening the same path recovers
@@ -134,18 +145,38 @@ class Database:
 
     # -- configuration ------------------------------------------------------------
 
+    @property
+    def w(self) -> float:
+        """The cost formula's RSI-call weight W (finite, >= 0)."""
+        return self._w
+
+    @w.setter
+    def w(self, value: float) -> None:
+        # W >= 0 keeps plan totals monotone along join extensions, which
+        # the join search's bound relies on.
+        self._w = _check_w(value)
+
+    @property
+    def subquery_cache_mode(self) -> str:
+        """How nested-block results are reused: one of SUBQUERY_CACHE_MODES."""
+        return self._subquery_cache_mode
+
+    @subquery_cache_mode.setter
+    def subquery_cache_mode(self, value: str) -> None:
+        self._subquery_cache_mode = _check_cache_mode(value)
+
     def optimizer(self) -> Optimizer:
         """A fresh optimizer reflecting the current configuration."""
         return Optimizer(
             self.catalog,
-            w=self.w,
+            w=self._w,
             buffer_pages=self.storage.buffer.capacity,
             use_heuristic=self.use_heuristic,
             use_interesting_orders=self.use_interesting_orders,
             # Ordering on a correlated reference only pays off when the
             # runtime skips repeated evaluations (§6).
             correlation_ordering=(
-                self.subquery_cache_mode in ("prev", "memo")
+                self._subquery_cache_mode in ("prev", "memo")
                 if self.correlation_ordering is None
                 else self.correlation_ordering
             ),
@@ -165,7 +196,7 @@ class Database:
             hold_backends(self)
         return Executor(
             self.storage if storage is None else storage,
-            self.catalog, self.subquery_cache_mode,
+            self.catalog, self._subquery_cache_mode,
             exec_mode=mode, workers=workers,
         )
 

@@ -126,7 +126,7 @@ def render_search_tree(search: JoinSearch, cost_model: CostModel) -> str:
             current_size = len(aliases)
             lines.append(f"-- {current_size} relation(s) --")
         name = "{" + ", ".join(sorted(aliases)) + "}"
-        for order_key, entry in sorted(search.best[mask].items()):
+        for order_key, entry in sorted(search.solutions_for(mask).items()):
             lines.append(
                 f"  {name:<28s} {format_order(order_key):<14s} "
                 f"cost={cost_model.total(entry.cost):10.2f} "
@@ -140,11 +140,11 @@ def solutions_table(
 ) -> list[dict]:
     """Structured dump of DP solutions of one subset size (for benchmarks)."""
     rows: list[dict] = []
-    for mask, entries in search.best.items():
+    for mask in search.best:
         aliases = search.aliases_of(mask)
         if len(aliases) != size:
             continue
-        for order_key, entry in entries.items():
+        for order_key, entry in search.solutions_for(mask).items():
             rows.append(
                 {
                     "relations": tuple(sorted(aliases)),

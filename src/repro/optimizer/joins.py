@@ -12,6 +12,15 @@ The join-order heuristic defers Cartesian products: a relation with no join
 predicate linking it to the composite is considered only when no connected
 relation remains.
 
+Bounded search: given the planner's finished-total function, a search
+over three or more relations first builds a greedy chain — from the
+smallest relation, always joining the candidate extension with the fewest
+estimated composite rows — through the same ``_extend`` the DP uses.  The
+cheapest finished total of the chain's complete solutions is U, and the DP
+then drops every non-final candidate whose total is strictly above U.  With
+W >= 0 a plan's total never falls as it grows, so no such candidate can be
+a prefix of a plan costing at most U, and the chosen plan is unchanged.
+
 Representation: relation subsets are interned integer bitmasks.  Every
 alias gets a bit position at construction; ``best``, the prune records,
 and ``SearchStats.survivor_totals`` are keyed by ``int`` masks, relation
@@ -28,8 +37,9 @@ audits and rendering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ..catalog.catalog import Catalog
 from ..errors import PlannerError
@@ -79,7 +89,8 @@ class PrunedCandidate:
 
     Recorded only under ``record_prunes`` (the ``REPRO_CHECK=1`` path):
     the cost auditor verifies that every pruned candidate really was no
-    cheaper than the survivor of its (relation set, order class).
+    cheaper than the survivor of its (relation set, order class), and
+    that every bound-pruned candidate really cost more than the bound.
     ``mask`` is the search's bitmask subset key; translate it through
     ``SearchStats.alias_order`` at the audit boundary.
     """
@@ -91,17 +102,44 @@ class PrunedCandidate:
 
 @dataclass
 class SearchStats:
-    """Bookkeeping for the optimization-cost experiments (E10, A3)."""
+    """Bookkeeping for the optimization-cost experiments (E10, A3).
+
+    An unbounded search (``search()`` with no argument, as the experiments
+    run it) counts exactly the paper's DP.  Under the bound, the counters
+    mean:
+
+    - ``plans_considered`` also counts the greedy chain's candidates and
+      every bound-pruned candidate: it is the work done.
+    - ``entries_stored`` counts stored entries only, so it falls: a
+      bound-pruned candidate is never stored.
+    - ``subsets_expanded`` and ``extensions_pruned_by_heuristic`` keep
+      their unbounded values: placeholders make the bounded DP visit every
+      subset the unbounded one visits.
+    - ``bound_prunes`` counts the candidates dropped for a total above
+      ``bound``; it stays 0 in an unbounded search.
+
+    When the bounded answer costs more than U and the search runs again
+    unbounded, ``bound`` is ``inf`` and only ``plans_considered`` still
+    counts the discarded attempt.
+    """
 
     plans_considered: int = 0
     entries_stored: int = 0
     subsets_expanded: int = 0
     extensions_pruned_by_heuristic: int = 0
+    bound_prunes: int = 0
+    #: U, the greedy chain's cheapest finished total; ``inf`` when unbounded.
+    bound: float = math.inf
+    #: The finished total of the solution the planner chose (set by the
+    #: planner; the bound audit checks it never exceeds ``bound``).
+    chosen_total: float | None = None
     #: Bit position -> alias name, so mask keys can be translated back to
     #: relation sets outside the search (prune audit, rendering).
     alias_order: tuple[str, ...] = ()
-    #: Filled only when the search runs with ``record_prunes=True``.
+    #: Filled only when the search runs with ``record_prunes=True``:
+    #: dominance prunes, and bound prunes with their own totals.
     pruned: list[PrunedCandidate] = field(default_factory=list)
+    bound_pruned: list[PrunedCandidate] = field(default_factory=list)
     survivor_totals: dict[tuple[int, OrderKey], float] = field(
         default_factory=dict
     )
@@ -196,35 +234,126 @@ class JoinSearch:
             tuple[int, tuple[int, ...], float],
             list[tuple[PathCandidate, float | None]],
         ] = {}
+        self._cheapest_inner: dict[
+            tuple[int, tuple[int, ...], float, float],
+            tuple[PathCandidate, float | None],
+        ] = {}
+        #: Non-final candidates with a total above this are dropped.
+        self._bound = math.inf
 
-        self.best: dict[int, dict[OrderKey, JoinEntry]] = {}
+        #: Per subset mask, the cheapest entry per order class.  ``None``
+        #: holds the place of a class whose candidates were all bound-pruned:
+        #: the unbounded search's first candidate would have taken that
+        #: place, so subsets and classes keep the unbounded order and ties
+        #: between equal-cost plans fall the same way.
+        self.best: dict[int, dict[OrderKey, JoinEntry | None]] = {}
         self._masks_by_size: list[list[int]] = [
             [] for __ in range(count + 1)
         ]
 
     # -- public API -------------------------------------------------------------
 
-    def search(self) -> dict[OrderKey, JoinEntry]:
-        """Run the DP; returns the solutions for the full FROM list."""
+    def search(
+        self,
+        finished_total: Callable[[dict[OrderKey, JoinEntry]], float]
+        | None = None,
+    ) -> dict[OrderKey, JoinEntry]:
+        """Run the DP; returns the solutions for the full FROM list.
+
+        ``finished_total`` maps complete solutions to the cheapest total a
+        finished plan built from them costs (required sort included).  When
+        given and the block has three or more relations, the DP is bounded
+        by that total over the greedy chain's solutions (module docstring).
+        """
         for alias in self._aliases:
             self._seed_single(alias)
-        for size in range(2, len(self._aliases) + 1):
-            for mask in list(self._masks_by_size[size - 1]):
-                self.stats.subsets_expanded += 1
-                for position in self._candidate_extensions(mask):
-                    self._extend(mask, position)
-        full = self._full_mask
-        if full not in self.best or not self.best[full]:
+        if finished_total is not None and len(self._aliases) >= 3:
+            bound = finished_total(self._greedy_chain())
+            # Two float sums of one mathematical total may differ in the
+            # last bits; the slack keeps such a tie from deciding a prune.
+            self._bound = bound * (1.0 + _BOUND_SLACK)
+            self._expand_all()
+            found = self.solutions_for(self._full_mask)
+            if found and finished_total(found) <= self._bound:
+                self.stats.bound = bound
+            else:
+                self._search_again_unbounded()
+        else:
+            self._expand_all()
+        solutions = self.solutions_for(self._full_mask)
+        if not solutions:
             raise PlannerError("join search produced no complete solution")
         if self._record_prunes:
             # Snapshot the survivors so the prune audit can replay every
             # discard decision against the entry that beat it.
             for mask, entries in self.best.items():
                 for key, entry in entries.items():
-                    self.stats.survivor_totals[(mask, key)] = (
-                        self._cost.total(entry.cost)
-                    )
-        return self.best[full]
+                    if entry is not None:
+                        self.stats.survivor_totals[(mask, key)] = (
+                            self._cost.total(entry.cost)
+                        )
+        return solutions
+
+    def _expand_all(self) -> None:
+        for size in range(2, len(self._aliases) + 1):
+            for mask in list(self._masks_by_size[size - 1]):
+                self.stats.subsets_expanded += 1
+                for position in self._candidate_extensions(mask):
+                    self._extend(mask, position)
+
+    def _search_again_unbounded(self) -> None:
+        """Discard a bounded answer dearer than U and run the plain DP.
+
+        The DP keeps one entry per (subset, order class), and the cheaper
+        entry may claim more buffer, making its extensions dearer: under
+        buffer pressure the DP's answer can cost more than the chain's.
+        Its prefixes may then lie above U.  The search restarts from fresh
+        stats and seeds; only ``plans_considered`` keeps the discarded work.
+        """
+        self.stats = SearchStats(
+            alias_order=self.stats.alias_order,
+            plans_considered=self.stats.plans_considered,
+        )
+        self.best.clear()
+        for masks in self._masks_by_size:
+            masks.clear()
+        self._bound = math.inf
+        for alias in self._aliases:
+            self._seed_single(alias)
+        self._expand_all()
+
+    def _forget_composites(self) -> None:
+        """Drop every multi-relation entry, leaving only the seeds."""
+        for masks in self._masks_by_size[2:]:
+            for mask in masks:
+                del self.best[mask]
+            masks.clear()
+
+    def _greedy_chain(self) -> dict[OrderKey, JoinEntry]:
+        """Build one left-deep chain of the DP's own extensions.
+
+        Starts from the relation with the fewest estimated rows and joins,
+        at each step, the candidate extension whose composite has the fewest
+        estimated rows.  Returns the chain's complete solutions and leaves
+        only the seeds in the solution table.  The chain runs with its own
+        scratch stats, so none of its prune records reach the prune audit;
+        its candidates are added to ``plans_considered``.  The memo caches
+        it fills are kept for the DP.
+        """
+        stats, self.stats = self.stats, SearchStats()
+        mask = 1 << min(range(len(self._aliases)), key=self._alias_rows.__getitem__)
+        while mask != self._full_mask:
+            position = min(
+                self._candidate_extensions(mask),
+                key=lambda p: self._subset_rows(mask | 1 << p),
+            )
+            self._extend(mask, position)
+            mask |= 1 << position
+        solutions = self.solutions_for(mask)
+        self._forget_composites()
+        stats.plans_considered += self.stats.plans_considered
+        self.stats = stats
+        return solutions
 
     def mask_of(self, aliases: Iterable[str]) -> int:
         """The bitmask subset key for a collection of alias names."""
@@ -239,7 +368,8 @@ class JoinSearch:
     ) -> dict[OrderKey, JoinEntry]:
         """Surviving entries for one relation subset (names or mask)."""
         mask = aliases if isinstance(aliases, int) else self.mask_of(aliases)
-        return self.best.get(mask, {})
+        table = self.best.get(mask, {})
+        return {key: entry for key, entry in table.items() if entry is not None}
 
     def cheapest(self, solutions: dict[OrderKey, JoinEntry]) -> JoinEntry:
         """The minimum-total entry of a solution set."""
@@ -247,7 +377,7 @@ class JoinSearch:
 
     def total_entries(self) -> int:
         """Entries stored across all subsets (the 2^n-bound metric)."""
-        return sum(len(entries) for entries in self.best.values())
+        return sum(len(_live(entries)) for entries in self.best.values())
 
     # -- DP seeding and extension ---------------------------------------------------
 
@@ -302,6 +432,9 @@ class JoinSearch:
             for factor, factor_mask in self._joins_touching[position]
             if not factor_mask & ~new_mask
         ]
+        if not _live(self.best[mask]):
+            self._hold_extension_places(mask, position, new_mask, connecting)
+            return
         newly_applicable = [
             factor.expr
             for factor, factor_mask in self._multi_touching[position]
@@ -317,6 +450,38 @@ class JoinSearch:
             self._extend_hash(
                 mask, position, new_mask, rows_out, connecting, newly_applicable
             )
+
+    def _hold_extension_places(
+        self,
+        mask: int,
+        position: int,
+        new_mask: int,
+        connecting: list[BooleanFactor],
+    ) -> None:
+        """Extend a subset whose entries were all bound-pruned.
+
+        Every candidate would cost more than its pruned outer, so none is
+        built; only the order classes the nested-loop, merge and hash
+        candidates would have reached are held, in their unbounded order.
+        """
+        table = self._table(new_mask)
+        for key in self.best[mask]:
+            table.setdefault(key, None)
+        alias = self._aliases[position]
+        equijoins = [
+            f for f in connecting if f.join is not None and f.join.is_equijoin
+        ]
+        for factor in equijoins:
+            join = factor.join
+            assert join is not None
+            merge_class = self._orders.class_of_column(join.column_for(alias))
+            table.setdefault(self._canonical((merge_class,)), None)
+        if (
+            self._use_hash
+            and equijoins
+            and self._alias_rows[position] <= self._subset_rows(mask)
+        ):
+            table.setdefault(UNORDERED, None)
 
     # -- nested loops ---------------------------------------------------------------
 
@@ -339,29 +504,25 @@ class JoinSearch:
             else:
                 join_residual.append(factor.expr)
         probe_ids = tuple(id(factor) for factor in connecting)
-        for entry in list(self.best.get(mask, {}).values()):
+        for key, entry in list(self.best[mask].items()):
+            if entry is None:
+                self._table(new_mask).setdefault(key, None)
+                continue
             # Buffer pages left for the inner depend on how much of the
             # pool the outer pipeline (including prior resident inners)
             # already claims.
             available = self._cost.inner_available_buffer(
                 entry.plan.buffer_claim
             )
-            inner_candidates = self._inner_candidates(
-                position, probe_ids, probes, available
-            )
             entry_rows = entry.rows
-            inner, cap = min(
-                inner_candidates,
-                key=lambda pair: self._cost.total(
-                    self._cost.nested_loop_cost(
-                        ZERO_COST, entry_rows, pair[0].node.cost, pair[1]
-                    )
-                ),
+            inner, cap = self._cheapest_inner_for(
+                position, probe_ids, probes, available, entry_rows
             )
             self.stats.plans_considered += 1
             cost = self._cost.nested_loop_cost(
                 entry.cost, entry_rows, inner.node.cost, cap
             )
+            self._check_monotone("nested-loop", entry.plan, cost)
             node = NestedLoopJoinNode(
                 outer=entry.plan,
                 inner=inner.node,
@@ -373,6 +534,29 @@ class JoinSearch:
                 + (cap if cap is not None else 2.0),
             )
             self._record(new_mask, node, entry.order_key)
+
+    def _cheapest_inner_for(
+        self,
+        position: int,
+        probe_ids: tuple[int, ...],
+        probes: list[BooleanFactor],
+        available: float,
+        outer_rows: float,
+    ) -> tuple[PathCandidate, float | None]:
+        """The inner path (with its cap) cheapest under ``outer_rows``
+        probes, memoized: the choice depends on nothing else."""
+        key = (position, probe_ids, available, outer_rows)
+        cached = self._cheapest_inner.get(key)
+        if cached is None:
+            cached = self._cheapest_inner[key] = min(
+                self._inner_candidates(position, probe_ids, probes, available),
+                key=lambda pair: self._cost.total(
+                    self._cost.nested_loop_cost(
+                        ZERO_COST, outer_rows, pair[0].node.cost, pair[1]
+                    )
+                ),
+            )
+        return cached
 
     def _inner_candidates(
         self,
@@ -430,12 +614,8 @@ class JoinSearch:
             return
         alias = self._aliases[position]
         inner_rows = self._alias_rows[position]
-        entries = self.best.get(mask, {})
-        if not entries:
-            return
-        cheapest_outer = min(
-            entries.values(), key=lambda e: self._cost.total(e.cost)
-        )
+        entries = _live(self.best[mask])
+        cheapest_outer = min(entries, key=lambda e: self._cost.total(e.cost))
         for merge_factor in equijoins:
             join = merge_factor.join
             assert join is not None
@@ -461,6 +641,7 @@ class JoinSearch:
                 for inner_plan, inner_cost in inner_options:
                     self.stats.plans_considered += 1
                     cost = outer_plan.cost + inner_cost
+                    self._check_monotone("merge", outer_plan, cost)
                     order_columns = (
                         (outer_column.alias, outer_column.position),
                     )
@@ -532,6 +713,7 @@ class JoinSearch:
             rows=cheapest.node.rows,
             order_columns=((inner_column.alias, inner_column.position),),
         )
+        self._check_monotone("sorted-inner", cheapest.node, sort_total)
         options.append((sort_node, sort_total))
         # Keep at most the two cheapest inner options; more never win.
         options.sort(key=lambda pair: self._cost.total(pair[1]))
@@ -540,14 +722,14 @@ class JoinSearch:
     def _merge_outer_options(
         self,
         mask: int,
-        entries: dict[OrderKey, JoinEntry],
+        entries: list[JoinEntry],
         cheapest: JoinEntry,
         outer_column: BoundColumn,
         merge_class: int,
     ) -> list[tuple[PlanNode, OrderKey]]:
         """Outer sides ordered on the merge class: reuse an order or sort."""
         options: list[tuple[PlanNode, OrderKey]] = []
-        for entry in entries.values():
+        for entry in entries:
             if entry.order_key[:1] == (merge_class,):
                 options.append((entry.plan, entry.order_key))
         outer_bytes = self._composite_bytes(mask)
@@ -562,6 +744,7 @@ class JoinSearch:
             rows=cheapest.rows,
             order_columns=((outer_column.alias, outer_column.position),),
         )
+        self._check_monotone("sorted-outer", cheapest.plan, sort_node.cost)
         options.append((sort_node, self._canonical((merge_class,))))
         options.sort(key=lambda pair: self._cost.total(pair[0].cost))
         return options[:2]
@@ -593,14 +776,12 @@ class JoinSearch:
         ]
         if not equijoins:
             return
-        entries = self.best.get(mask, {})
-        if not entries:
-            return
         alias = self._aliases[position]
         build_rows = self._alias_rows[position]
         probe_rows = self._subset_rows(mask)
         if build_rows > probe_rows:
             return
+        entries = _live(self.best[mask])
         build = min(
             (
                 candidate
@@ -621,7 +802,7 @@ class JoinSearch:
             for f in connecting
             if f.join is None or not f.join.is_equijoin
         ] + extra_residual
-        outer = min(entries.values(), key=lambda e: self._cost.total(e.cost))
+        outer = min(entries, key=lambda e: self._cost.total(e.cost))
         available = self._cost.inner_available_buffer(outer.plan.buffer_claim)
         inner_bytes = self._alias_bytes[position]
         self.stats.plans_considered += 1
@@ -635,6 +816,7 @@ class JoinSearch:
             inner_bytes,
             available_buffer=available,
         )
+        self._check_monotone("hash", outer.plan, cost)
         build_pages = self._cost.temp_pages(build_rows, inner_bytes)
         node = HashJoinNode(
             outer=outer.plan,
@@ -707,15 +889,47 @@ class JoinSearch:
             return UNORDERED
         return self._orders.canonicalize(order)
 
-    def _record(self, mask: int, plan: PlanNode, order_key: OrderKey) -> None:
-        key = self._canonical(order_key)
+    def _check_monotone(self, method: str, outer: PlanNode, cost: Cost) -> None:
+        """Under ``record_prunes``: an extension never costs less than its
+        outer input, the premise that makes the bound exact."""
+        if self._record_prunes and self._cost.total(cost) < self._cost.total(
+            outer.cost
+        ):
+            # Imported lazily: the analysis package imports the optimizer.
+            from ..analysis.plan_check import PlanCheckError, Violation
+
+            raise PlanCheckError(
+                [
+                    Violation(
+                        "extension-not-monotone",
+                        outer.label(),
+                        f"{method} extension costs {cost}, below its outer "
+                        f"input's {outer.cost}",
+                    )
+                ]
+            )
+
+    def _table(self, mask: int) -> dict[OrderKey, JoinEntry | None]:
         table = self.best.get(mask)
         if table is None:
             table = self.best[mask] = {}
             self._masks_by_size[mask.bit_count()].append(mask)
+        return table
+
+    def _record(self, mask: int, plan: PlanNode, order_key: OrderKey) -> None:
+        key = self._canonical(order_key)
         self.stats.plans_considered += 1
-        existing = table.get(key)
         total = self._cost.total(plan.cost)
+        if total > self._bound and mask != self._full_mask:
+            self.stats.bound_prunes += 1
+            if self._record_prunes:
+                self.stats.bound_pruned.append(PrunedCandidate(mask, key, total))
+            self._table(mask).setdefault(key, None)
+            return
+        table = self.best.get(mask)
+        if table is None:
+            table = self._table(mask)
+        existing = table.get(key)
         if existing is None:
             self.stats.entries_stored += 1
             table[key] = JoinEntry(plan=plan, order_key=key)
@@ -727,6 +941,16 @@ class JoinSearch:
             table[key] = JoinEntry(plan=plan, order_key=key)
         elif self._record_prunes:
             self.stats.pruned.append(PrunedCandidate(mask, key, total))
+
+
+#: Relative slack on U: a candidate is bound-pruned only when its total
+#: exceeds U by more than float rounding can explain.
+_BOUND_SLACK = 1e-9
+
+
+def _live(table: dict[OrderKey, JoinEntry | None]) -> list[JoinEntry]:
+    """A table's entries, without bound-pruned placeholders."""
+    return [entry for entry in table.values() if entry is not None]
 
 
 def _bits(mask: int):

@@ -193,9 +193,21 @@ class Optimizer:
             record_prunes=self.verification_enabled(),
             use_hash_join=self.hash_join_allowed(),
         )
-        solutions = search.search()
-        root, correlation_total = self._choose_solution(
-            block, factors, orders, search, solutions, correlations
+        # Bounded by the greedy chain's finished total only where that
+        # total is the one solution choice compares: correlated blocks add
+        # re-evaluation costs there, so blocks with subqueries run unbounded.
+        solutions = search.search(
+            None
+            if block.subqueries
+            else lambda found: min(
+                self._cost_model.total(plan.cost)
+                for plan, __ in self._finished_candidates(
+                    block, orders, found, []
+                )
+            )
+        )
+        root, correlation_total, search.stats.chosen_total = (
+            self._choose_solution(block, orders, solutions, correlations)
         )
         root = self._apply_constant_factors(root, search.constant_factors)
         root = self._finish_block(block, factors, orders, root)
@@ -285,20 +297,47 @@ class Optimizer:
     def _choose_solution(
         self,
         block: BoundQueryBlock,
-        factors: list[BooleanFactor],
         orders: InterestingOrders,
-        search: JoinSearch,
         solutions,
         correlations: list["CorrelationInfo"],
-    ) -> tuple[PlanNode, float]:
+    ) -> tuple[PlanNode, float, float]:
         """Pick the cheapest complete solution.
 
         Each candidate's total is its plan cost, plus — when required — the
         cost of sorting into the GROUP BY / ORDER BY order, plus the cost
         of re-evaluating correlated subqueries under the candidate's tuple
         order (ordered candidates amortize repeated referenced values).
-        When correlations exist, explicitly sorting on the referenced
-        column is considered as its own candidate (§6).
+        Returns the plan, its correlation term and its whole total.
+        """
+        best_plan: PlanNode | None = None
+        best_total = float("inf")
+        best_corr = 0.0
+        for plan, order_key in self._finished_candidates(
+            block, orders, solutions, correlations
+        ):
+            correlation_total = self._correlation_term(
+                correlations, tuple(order_key), plan.rows
+            )
+            total = self._cost_model.total(plan.cost) + correlation_total
+            if total < best_total:
+                best_total = total
+                best_plan = plan
+                best_corr = correlation_total
+        assert best_plan is not None
+        return best_plan, best_corr, best_total
+
+    def _finished_candidates(
+        self,
+        block: BoundQueryBlock,
+        orders: InterestingOrders,
+        solutions,
+        correlations: list["CorrelationInfo"],
+    ) -> list[tuple[PlanNode, tuple]]:
+        """Complete solutions finished into the order the block requires.
+
+        An entry lacking the GROUP BY / ORDER BY order gets the sort that
+        supplies it.  When correlations exist, explicitly sorting on the
+        referenced column is offered as its own candidate (§6).
         """
         # The required order (grouping correctness!) applies regardless of
         # whether interesting-order bookkeeping is enabled; with the
@@ -333,21 +372,7 @@ class Optimizer:
                         entry.plan, [(info.column, False)], composite_bytes
                     )
                     candidates.append((sorted_plan, (info.class_id,)))
-
-        best_plan: PlanNode | None = None
-        best_total = float("inf")
-        best_corr = 0.0
-        for plan, order_key in candidates:
-            correlation_total = self._correlation_term(
-                correlations, tuple(order_key), plan.rows
-            )
-            total = self._cost_model.total(plan.cost) + correlation_total
-            if total < best_total:
-                best_total = total
-                best_plan = plan
-                best_corr = correlation_total
-        assert best_plan is not None
-        return best_plan, best_corr
+        return candidates
 
     def _correlation_term(
         self,

@@ -340,6 +340,36 @@ def test_real_search_prunes_are_admissible(empdept):
     assert audit_search_stats(stats) == []
 
 
+def test_rejects_bound_prune_within_bound():
+    # Pruning at exactly U could discard a prefix of a plan costing U.
+    stats = SearchStats(alias_order=("A", "B", "C"), bound=10.0)
+    stats.bound_pruned.append(PrunedCandidate(0b011, UNORDERED, 10.0))
+    assert "bound-prune-within-bound" in rules(audit_search_stats(stats))
+
+
+def test_rejects_bound_below_optimum():
+    stats = SearchStats(alias_order=("A", "B", "C"), bound=10.0)
+    stats.chosen_total = 12.0
+    assert "bound-below-optimum" in rules(audit_search_stats(stats))
+
+
+def test_accepts_admissible_bound():
+    stats = SearchStats(alias_order=("A", "B", "C"), bound=10.0)
+    stats.bound_pruned.append(PrunedCandidate(0b011, UNORDERED, 10.5))
+    stats.chosen_total = 10.0
+    assert audit_search_stats(stats) == []
+
+
+def test_real_bound_prunes_are_admissible(empdept):
+    planned = verifying_optimizer(empdept).plan_query(
+        parse_statement(FIG1_QUERY)
+    )
+    stats = planned.search_stats
+    assert stats is not None and stats.bound_pruned  # the bound really pruned
+    assert stats.chosen_total is not None and stats.chosen_total <= stats.bound
+    assert audit_search_stats(stats) == []
+
+
 # ---------------------------------------------------------------------------
 # regression tests for bugs the auditor found on the seed workloads
 # ---------------------------------------------------------------------------

@@ -126,6 +126,34 @@ def test_bad_settings_fail_at_construction(setting, bad):
         Database(**{setting: bad})
 
 
+@pytest.mark.parametrize(
+    "setting,bad",
+    [
+        ("w", float("nan")),
+        ("w", float("inf")),
+        ("w", -1.0),
+        ("subquery_cache_mode", "memoize"),
+    ],
+    ids=["w-nan", "w-inf", "w-negative", "cache-memoize"],
+)
+def test_bad_settings_fail_at_assignment(setting, bad):
+    """Assignment runs the construction check: a bad value raises at once
+    and the setting keeps its previous, valid value."""
+    db = Database()
+    before = getattr(db, setting)
+    with pytest.raises(ValueError, match=str(bad)):
+        setattr(db, setting, bad)
+    assert getattr(db, setting) == before
+
+
+def test_valid_settings_assign():
+    db = Database()
+    db.w = 0.0
+    db.subquery_cache_mode = "memo"
+    assert (db.w, db.subquery_cache_mode) == (0.0, "memo")
+    assert db.optimizer().w == 0.0
+
+
 class TestUpdateDelete:
     def test_update_with_where(self, people):
         result = people.execute("UPDATE P SET AGE = 26 WHERE NAME = 'BOB'")

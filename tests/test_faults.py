@@ -61,15 +61,15 @@ MUTATIONS = [
 ]
 
 
-def build_db(path) -> Database:
+def build_db(path, setup=SETUP) -> Database:
     db = Database(path=str(path))
-    for sql in SETUP:
+    for sql in setup:
         db.execute(sql)
     return db
 
 
-def run_workload_under_fault(db, plan):
-    """Run MUTATIONS with ``plan`` armed.
+def run_workload_under_fault(db, plan, mutations=MUTATIONS):
+    """Run ``mutations`` (by default MUTATIONS) with ``plan`` armed.
 
     Returns ``(mirror, error, failed_at, fired)`` where ``mirror`` is the
     logical dump after the last *successful* statement (== last committed
@@ -81,7 +81,7 @@ def run_workload_under_fault(db, plan):
     error = None
     failed_at = None
     try:
-        for position, sql in enumerate(MUTATIONS):
+        for position, sql in enumerate(mutations):
             try:
                 db.execute(sql)
             except StorageError as caught:

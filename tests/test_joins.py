@@ -1,6 +1,18 @@
 """Unit tests for the dynamic-programming join enumeration."""
 
+import math
+import os
+import random
+from contextlib import contextmanager
+from functools import lru_cache
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.check import verifying_optimizer
+from repro.analysis.plan_check import PlanCheckError
 
 from repro.catalog import Catalog, IndexStats, RelationStats
 from repro.datatypes import INTEGER
@@ -13,11 +25,22 @@ from repro.optimizer.plan import (
     NestedLoopJoinNode,
     ScanNode,
     SortNode,
+    render_plan,
     walk_plan,
 )
 from repro.optimizer.predicates import to_cnf_factors
 from repro.optimizer.selectivity import SelectivityEstimator
 from repro.sql import parse_statement
+from repro.workloads.empdept import FIG1_QUERY
+from repro.workloads.generator import (
+    build_database,
+    chain_join_query,
+    clique_join_query,
+    random_chain_spec,
+    random_clique_spec,
+    random_star_spec,
+    star_join_query,
+)
 
 
 @pytest.fixture
@@ -170,3 +193,196 @@ class TestEstimates:
         assert search.stats.plans_considered > 0
         assert search.stats.entries_stored > 0
         assert search.stats.subsets_expanded > 0
+
+
+# ---------------------------------------------------------------------------
+# the bounded search: same plan as the unbounded DP, less work
+# ---------------------------------------------------------------------------
+
+_search = JoinSearch.search
+
+
+@contextmanager
+def unbounded():
+    """Plan as the unbounded DP does: the planner's bound is ignored."""
+    with mock.patch.object(
+        JoinSearch, "search", lambda self, finished_total=None: _search(self)
+    ):
+        yield
+
+
+@lru_cache(maxsize=16)
+def _generated(topology: str, relations: int, seed: int):
+    rng = random.Random(seed)
+    if topology == "chain":
+        specs = random_chain_spec(relations, rng, min_rows=20, max_rows=150)
+        return build_database(specs, seed=seed), specs, chain_join_query
+    if topology == "star":
+        specs = random_star_spec(relations - 1, rng, fact_rows=300, max_dim_rows=75)
+        return build_database(specs, seed=seed), specs, star_join_query
+    specs = random_clique_spec(relations, rng, min_rows=20, max_rows=150)
+    return build_database(specs, seed=seed), specs, clique_join_query
+
+
+def _plan_both(db, sql, hash_join: bool):
+    flag = "1" if hash_join else "0"
+    with mock.patch.dict(os.environ, {"REPRO_HASHJOIN": flag}):
+        optimizer = verifying_optimizer(db)
+        bounded = optimizer.plan_query(parse_statement(sql))
+        with unbounded():
+            reference = optimizer.plan_query(parse_statement(sql))
+    return bounded, reference
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    topology=st.sampled_from(["chain", "star", "clique"]),
+    relations=st.integers(min_value=3, max_value=8),
+    seed=st.integers(min_value=0, max_value=3),
+    hash_join=st.booleans(),
+    data=st.data(),
+)
+def test_bounded_search_chooses_the_unbounded_plan(
+    topology, relations, seed, hash_join, data
+):
+    if topology == "clique":
+        relations = min(relations, 6)  # 2^n subsets: keep the reference quick
+    db, specs, query = _generated(topology, relations, seed)
+    filterable = [s for s in specs if any(c.name == "ATTR" for c in s.columns)]
+    filtered = data.draw(
+        st.lists(st.sampled_from(filterable), max_size=2, unique_by=id)
+    )
+    selections = [
+        (spec.name, "ATTR", data.draw(st.integers(0, spec.column("ATTR").distinct)))
+        for spec in filtered
+    ]
+    sql = query(specs, selections)
+    spec = data.draw(st.sampled_from(specs))
+    column = f"{spec.name}.{data.draw(st.sampled_from(spec.columns)).name}"
+    tail = data.draw(st.sampled_from(["", "order", "group"]))
+    if tail == "order":
+        sql += f" ORDER BY {column}"
+    elif tail == "group":
+        sql = sql.replace("SELECT *", f"SELECT {column}, COUNT(*)")
+        sql += f" GROUP BY {column}"
+
+    bounded, reference = _plan_both(db, sql, hash_join)
+    assert render_plan(bounded.root, w=bounded.w) == render_plan(
+        reference.root, w=reference.w
+    )
+    assert bounded.estimated_total() == reference.estimated_total()
+    stats = bounded.search_stats
+    assert stats.chosen_total <= stats.bound * (1 + 1e-9)
+    assert stats.subsets_expanded == reference.search_stats.subsets_expanded
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT NAME FROM EMP WHERE DNO = 7",
+        "SELECT NAME, DNAME FROM EMP, DEPT WHERE EMP.DNO = DEPT.DNO "
+        "ORDER BY EMP.DNO",
+        "SELECT NAME, TITLE, DNAME FROM EMP, DEPT, JOB "
+        "WHERE EMP.DNO = DEPT.DNO AND EMP.JOB = JOB.JOB "
+        "AND SAL > (SELECT AVG(SAL) FROM EMP)",
+        "SELECT NAME FROM EMP, DEPT, JOB "
+        "WHERE EMP.DNO = DEPT.DNO AND EMP.JOB = JOB.JOB AND EMP.SAL > "
+        "(SELECT AVG(E2.SAL) FROM EMP E2 WHERE E2.DNO = EMP.DNO)",
+    ],
+    ids=["one-relation", "two-relations", "subquery", "correlated"],
+)
+def test_unbounded_blocks_record_the_unbounded_stats(empdept, sql):
+    """Blocks of one or two relations, and blocks with a subquery, are
+    planned exactly as before: every search records the same stats."""
+    bounded, reference = _plan_both(empdept, sql, hash_join=True)
+    pairs = [(bounded, reference)] + list(
+        zip(bounded.subquery_plans.values(), reference.subquery_plans.values())
+    )
+    for planned, expected in pairs:
+        assert planned.search_stats == expected.search_stats
+        assert planned.search_stats.bound == math.inf
+
+
+def test_bounded_search_prunes_and_counts_its_work(empdept):
+    bounded, reference = _plan_both(empdept, FIG1_QUERY, hash_join=True)
+    stats = bounded.search_stats
+    assert stats.bound < math.inf and stats.bound_prunes > 0
+    assert len(stats.bound_pruned) == stats.bound_prunes
+    expected = reference.search_stats
+    assert stats.entries_stored < expected.entries_stored
+    assert stats.subsets_expanded == expected.subsets_expanded
+    assert (
+        stats.extensions_pruned_by_heuristic
+        == expected.extensions_pruned_by_heuristic
+    )
+    assert expected.bound_prunes == 0
+
+
+def _pressed_star(dimensions: int, seed: int):
+    """Padded star tables over a 12-page buffer: buffer-aware costing."""
+    specs = random_star_spec(
+        dimensions,
+        random.Random(seed),
+        fact_rows=1200,
+        max_dim_rows=300,
+        pad_bytes=60,
+    )
+    return build_database(specs, seed=seed, buffer_pages=12), specs
+
+
+@pytest.mark.parametrize("tail", ["", " ORDER BY DIM1.ATTR", "group"])
+def test_equal_cost_ties_fall_as_unbounded(tail):
+    """Merge joins taken in either order often cost exactly the same here.
+    Bound-pruned order classes keep their places in the solution tables,
+    so the bounded search breaks every such tie the unbounded way."""
+    db, specs = _pressed_star(4, seed=0)
+    sql = star_join_query(specs)
+    if tail == "group":
+        sql = sql.replace("SELECT *", "SELECT DIM2.ATTR, COUNT(*)")
+        sql += " GROUP BY DIM2.ATTR"
+    else:
+        sql += tail
+    bounded, reference = _plan_both(db, sql, hash_join=False)
+    assert bounded.search_stats.bound_prunes > 0
+    assert render_plan(bounded.root, w=bounded.w) == render_plan(
+        reference.root, w=reference.w
+    )
+
+
+def test_dearer_dp_answer_searches_again_unbounded():
+    """Under buffer pressure the DP's answer can cost more than the chain's:
+    a cheaper entry may claim more buffer and make its extensions dearer.
+    The search then runs again without the bound and plans as before."""
+    db, specs = _pressed_star(3, seed=17)
+    bounded, reference = _plan_both(db, star_join_query(specs), hash_join=False)
+    assert bounded.search_stats.bound == math.inf  # the bound was dropped
+    assert render_plan(bounded.root, w=bounded.w) == render_plan(
+        reference.root, w=reference.w
+    )
+    assert bounded.estimated_total() == reference.estimated_total()
+    assert (
+        bounded.search_stats.plans_considered
+        > reference.search_stats.plans_considered
+    )
+
+
+def test_negative_w_breaks_monotonicity_under_check(catalog):
+    """W >= 0 makes totals grow along extensions; the checked search
+    refuses a cost model that breaks that premise."""
+    block = Binder(catalog).bind(parse_statement(CHAIN))
+    factors = to_cnf_factors(block.where, block)
+    search = JoinSearch(
+        block,
+        factors,
+        catalog,
+        SelectivityEstimator(catalog),
+        CostModel(catalog, w=-1.0),
+        InterestingOrders(block, factors),
+        record_prunes=True,
+    )
+    with pytest.raises(PlanCheckError, match="extension-not-monotone"):
+        search.search()

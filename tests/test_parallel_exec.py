@@ -48,6 +48,8 @@ from tests.test_compiled_eval import (
     _run,
 )
 from tests.test_faults import (
+    MUTATIONS,
+    SETUP,
     build_db,
     get_injector,
     registered_points,
@@ -331,6 +333,28 @@ def test_random_predicates_parallel_order_exact(sweep_matrix, predicate):
 # fault matrix under REPRO_EXEC=parallel: atomicity is worker-count blind
 # ---------------------------------------------------------------------------
 
+#: The fault workload's tables plus an exchange-eligible join: inner O is
+#: a plain segment scan probed on ``O.K = I.K``.
+EXCHANGE_SETUP = SETUP + [
+    "CREATE TABLE O (K INTEGER, V INTEGER)",
+    "CREATE TABLE I (K INTEGER, W VARCHAR(8))",
+    "INSERT INTO O VALUES "
+    + ", ".join(f"({i % 50}, {1000 + i})" for i in range(600)),
+    "INSERT INTO I VALUES " + ", ".join(f"({i}, 'w{i}')" for i in range(40)),
+    "UPDATE STATISTICS",
+]
+
+#: The fault workload, led by DML that reads through the exchange: every
+#: fault point but ``commit.lock`` (taken before the statement reads) fires
+#: after the pool has run the probes for a write.
+EXCHANGE_MUTATIONS = [
+    "INSERT INTO T SELECT O.V, I.W FROM O, I WHERE O.K = I.K",
+    *MUTATIONS,
+]
+
+#: Exchange DML run after the fault, on the rolled-back or recovered store.
+EXCHANGE_AFTER = "INSERT INTO T SELECT O.V + 1000, I.W FROM O, I WHERE O.K = I.K"
+
 #: Every registered fault point, hit once, alternating error/crash so
 #: both recovery paths run under the parallel engine.
 PARALLEL_FAULT_MATRIX = [
@@ -352,9 +376,12 @@ def test_fault_matrix_under_parallel(tmp_path, monkeypatch, point, action):
 
     monkeypatch.setenv("REPRO_EXEC", "parallel")
     monkeypatch.setenv("REPRO_WORKERS", "2")
-    db = build_db(tmp_path / "db.pages")
+    db = build_db(tmp_path / "db.pages", EXCHANGE_SETUP)
+    submitted = _count_submissions(monkeypatch)
     plan = FaultPlan(point, hit=1, action=action)
-    mirror, error, failed_at, fired = run_workload_under_fault(db, plan)
+    mirror, error, failed_at, fired = run_workload_under_fault(
+        db, plan, EXCHANGE_MUTATIONS
+    )
     get_injector().disarm()
 
     assert fired, f"{plan!r} never fired under parallel execution"
@@ -363,6 +390,8 @@ def test_fault_matrix_under_parallel(tmp_path, monkeypatch, point, action):
     if action == "error":
         assert not isinstance(error, SimulatedCrash)
         assert logical_dump(db) == mirror
+        assert verify_storage(db) == []
+        assert db.execute(EXCHANGE_AFTER).affected_rows == 480
         assert verify_storage(db) == []
         db.close()
     else:
@@ -375,7 +404,10 @@ def test_fault_matrix_under_parallel(tmp_path, monkeypatch, point, action):
         survivor = Database(path=str(restored))
         assert logical_dump(survivor) == mirror
         assert verify_storage(survivor) == []
+        assert survivor.execute(EXCHANGE_AFTER).affected_rows == 480
+        assert verify_storage(survivor) == []
         survivor.close()
+    assert sum(submitted) > 0, "the DML must read through the exchange"
 
 
 # ---------------------------------------------------------------------------
