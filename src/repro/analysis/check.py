@@ -14,8 +14,8 @@ Five sub-checks, all on by default:
   reachability, checksums) over in-memory, durable, torn-page, and
   crash/recover scenarios.
 - ``--fusion`` executes the workload corpus (plus a dedicated hash-join
-  corpus) under every engine mode — interpreted, fused, and parallel —
-  on identically-built databases, asserting the *ordered* row sequences,
+  corpus) under both engines — interpreted and fused — on the same
+  database from a cold buffer, asserting the *ordered* row sequences,
   cost counters, and subquery evaluation cadence are bit-identical —
   fused chains must preserve every declared output order, not just row
   sets.
@@ -290,33 +290,29 @@ def _count_hash_joins(planned) -> int:
 
 
 def _audit_fused_query(
-    db: Database, sql: str, violations: list[Violation], workers: int = 2
+    db: Database, sql: str, violations: list[Violation]
 ) -> tuple[int, int]:
-    """Execute ``sql`` in every engine mode; compare all three.
+    """Execute ``sql`` under both engines and compare them.
 
     Every execution starts from a cold buffer on the *same* database, so
     any divergence in page fetches, buffer hits, or RSI calls is the
-    diverging engine's fault, not warm-cache luck.  The interpreted
-    engine is the reference; fused and parallel runs must
-    reproduce its ordered row sequence, counter totals, and subquery
-    evaluation cadence exactly.  Row lists are compared as ordered
-    sequences: a fused chain that reorders rows — even for a query with
-    no ORDER BY — is a bug, because fusion must be invisible.  The
-    parallel run uses ``workers`` threads; its gather must reproduce the
-    serial row order and counter totals exactly.  Returns the number of
-    fused chains the plan compiled to and the number of hash joins in
-    the plan.
+    fused engine's fault, not warm-cache luck.  The interpreted engine
+    is the reference; the fused run must reproduce its ordered row
+    sequence, counter totals, and subquery evaluation cadence exactly.
+    Row lists are compared as ordered sequences: a fused chain that
+    reorders rows — even for a query with no ORDER BY — is a bug,
+    because fusion must be invisible.  Returns the number of fused
+    chains the plan compiled to and the number of hash joins in the
+    plan.
     """
     from ..engine.executor import Executor
     from ..engine.fuse import describe_chains
 
     planned = db.plan(sql)
     runs = {}
-    for mode in ("interp", "fused", "parallel"):
+    for mode in ("interp", "fused"):
         db.storage.cold_cache()
-        executor = Executor(
-            db.storage, db.catalog, exec_mode=mode, workers=workers
-        )
+        executor = Executor(db.storage, db.catalog, exec_mode=mode)
         before = db.storage.counters.snapshot()
         result = executor.execute(planned)
         after = db.storage.counters.snapshot()
@@ -331,36 +327,35 @@ def _audit_fused_query(
             dict(runtime.evaluation_counts) if runtime else {},
         )
     ref_rows, ref_counters, ref_evals = runs["interp"]
-    for mode in ("fused", "parallel"):
-        rows, counters, evals = runs[mode]
-        where = f"fusion [mode: {mode}] [query: {sql}]"
-        if rows != ref_rows:
-            violations.append(
-                Violation(
-                    "fusion-row-order",
-                    where,
-                    f"{mode} row sequence differs from the interpreted "
-                    f"reference ({len(rows)} vs {len(ref_rows)} rows)",
-                )
+    rows, counters, evals = runs["fused"]
+    where = f"fusion [mode: fused] [query: {sql}]"
+    if rows != ref_rows:
+        violations.append(
+            Violation(
+                "fusion-row-order",
+                where,
+                "fused row sequence differs from the interpreted "
+                f"reference ({len(rows)} vs {len(ref_rows)} rows)",
             )
-        if counters != ref_counters:
-            violations.append(
-                Violation(
-                    "fusion-counters",
-                    where,
-                    f"cost counters diverged: {mode} "
-                    f"(fetches, rsi, hits)={counters} vs interp {ref_counters}",
-                )
+        )
+    if counters != ref_counters:
+        violations.append(
+            Violation(
+                "fusion-counters",
+                where,
+                "cost counters diverged: fused "
+                f"(fetches, rsi, hits)={counters} vs interp {ref_counters}",
             )
-        if evals != ref_evals:
-            violations.append(
-                Violation(
-                    "fusion-subquery-cadence",
-                    where,
-                    f"subquery evaluation counts diverged: {mode} {evals} "
-                    f"vs interp {ref_evals}",
-                )
+        )
+    if evals != ref_evals:
+        violations.append(
+            Violation(
+                "fusion-subquery-cadence",
+                where,
+                f"subquery evaluation counts diverged: fused {evals} "
+                f"vs interp {ref_evals}",
             )
+        )
     return len(describe_chains(planned.root)), _count_hash_joins(planned)
 
 
@@ -434,47 +429,30 @@ def hashjoin_corpus() -> list[tuple[Database, list[str]]]:
 
 
 def check_fusion(queries: int = 40, seed: int = 662607) -> list[Violation]:
-    """Differential audit of every engine mode against the interpreted one.
-
-    ``REPRO_WORKERS`` sets the parallel worker count (default 2), so CI
-    can run the same audit at several counts.
-    """
-    import os
-
-    from ..engine.executor import parse_workers
-
-    workers = parse_workers(
-        os.environ.get("REPRO_WORKERS", "2"), source="REPRO_WORKERS"
-    )
+    """Differential audit of the fused engine against the interpreted one."""
     violations: list[Violation] = []
     executed = 0
     chains = 0
     hash_joins = 0
     for db in empdept_databases():
         for sql in EMPDEPT_QUERIES:
-            audited, hashed = _audit_fused_query(
-                db, sql, violations, workers=workers
-            )
+            audited, hashed = _audit_fused_query(db, sql, violations)
             chains += audited
             hash_joins += hashed
             executed += 1
-    print(f"  empdept: {executed} queries: interp vs fused/parallel({workers})")
+    print(f"  empdept: {executed} queries: interp vs fused")
     generated = 0
     for db, batch in generated_batches(queries, seed):
         for sql in batch:
-            audited, hashed = _audit_fused_query(
-                db, sql, violations, workers=workers
-            )
+            audited, hashed = _audit_fused_query(db, sql, violations)
             chains += audited
             hash_joins += hashed
             generated += 1
-    print(f"  generated: {generated} queries: interp vs fused/parallel({workers})")
+    print(f"  generated: {generated} queries: interp vs fused")
     hashed_queries = 0
     for db, batch in hashjoin_corpus():
         for sql in batch:
-            audited, hashed = _audit_fused_query(
-                db, sql, violations, workers=workers
-            )
+            audited, hashed = _audit_fused_query(db, sql, violations)
             chains += audited
             hash_joins += hashed
             hashed_queries += 1
@@ -487,10 +465,7 @@ def check_fusion(queries: int = 40, seed: int = 662607) -> list[Violation]:
                         "join — the corpus no longer exercises the operator",
                     )
                 )
-    print(
-        f"  hashjoin: {hashed_queries} queries: interp vs "
-        f"fused/parallel({workers})"
-    )
+    print(f"  hashjoin: {hashed_queries} queries: interp vs fused")
     print(
         f"  {chains} fused chains and {hash_joins} hash joins audited "
         "for order and counter fidelity"
@@ -526,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fusion",
         action="store_true",
-        help="differentially execute the corpus interp vs fused vs parallel",
+        help="differentially execute the corpus interp vs fused",
     )
     parser.add_argument(
         "--queries",

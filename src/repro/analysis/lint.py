@@ -38,7 +38,7 @@ them directly on the parsed source:
   they exist for type narrowing).  Hash-join build and probe loops obey
   the same discipline: ``build_hash_table`` may never run inside a loop
   (the build side is bucketed once per statement and shared across
-  batches and probe workers).  Fused drivers additionally may not
+  batches).  Fused drivers additionally may not
   hand off to a per-tuple generator (``iterate``, ``fused_rows``,
   ``hash_join_rows`` or any ``_iter_*`` operator) from inside a loop: a
   chain either fuses a stage into the driver's batch loop or breaks at a
@@ -407,7 +407,6 @@ _EXECUTOR_HOT_PATH_MODULES = frozenset(
     {
         "engine/operators.py",
         "engine/fuse.py",
-        "engine/parallel.py",
         "engine/temp.py",
         "engine/external_sort.py",
         "rss/scan.py",
@@ -499,7 +498,7 @@ def _check_executor_hot_path(
                             f"{relative}:{node.lineno}",
                             "hash-join build inside a loop; bucket the "
                             "build side once per statement and share the "
-                            "table across batches and probe workers",
+                            "table across batches",
                         )
                     )
                 elif relative == "engine/fuse.py" and name is not None and (

@@ -192,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     database backed by ``PATH``; any other arguments are read as SQL
     script files before the interactive prompt starts.  Fault plans in ``REPRO_FAULTS`` (e.g.
     ``pagetable.flip@1:crash``) are armed before the first statement.  A
-    bad setting (``REPRO_EXEC``, ``REPRO_WORKERS``, ``REPRO_FAULTS``), a
+    bad setting (``REPRO_EXEC``, ``REPRO_FAULTS``), a
     database path that cannot be opened, or a script that cannot be read
     is reported as ``error: ...`` on stderr with exit status 2.
     """

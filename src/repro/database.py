@@ -30,9 +30,8 @@ from .engine.executor import (
     Executor,
     QueryResult,
     Runtime,
-    resolve_exec_settings,
+    resolve_exec_mode,
 )
-from .engine.scheduler import hold_backends, release_backends
 from .errors import ExecutionError, SemanticError, StorageError
 from .optimizer.cost import DEFAULT_W
 from .optimizer.plan import render_plan
@@ -84,6 +83,20 @@ def _check_cache_mode(mode: str) -> str:
     return mode
 
 
+def _check_exec_mode(mode: str | None) -> str | None:
+    # ``None`` defers to REPRO_EXEC, which must name a mode already.
+    resolve_exec_mode(mode)
+    return mode
+
+
+def _check_workers(workers: int | None) -> int | None:
+    if workers is not None and (type(workers) is not int or workers < 1):
+        raise ValueError(
+            f"bad worker count {workers!r}: expected a positive integer"
+        )
+    return workers
+
+
 class Database:
     """An in-process relational database with a Selinger-style optimizer."""
 
@@ -101,10 +114,11 @@ class Database:
     ):
         # Validated eagerly: a bad setting fails at construction, not at
         # the first SELECT after DDL and INSERTs have already run.  The
-        # ``w`` and ``subquery_cache_mode`` setters run the same checks.
+        # property setters run the same checks.
         _check_w(w)
         _check_cache_mode(subquery_cache_mode)
-        resolve_exec_settings(exec_mode, workers)
+        _check_exec_mode(exec_mode)
+        _check_workers(workers)
         #: ``path`` opts into durability: statements commit to a
         #: shadow-paged backing file, and re-opening the same path recovers
         #: the last committed catalog and data.  ``None`` (the default)
@@ -118,13 +132,7 @@ class Database:
         self.use_heuristic = use_heuristic
         self.use_interesting_orders = use_interesting_orders
         self.subquery_cache_mode = subquery_cache_mode
-        #: "fused" / "parallel" / "interp" / None (None reads REPRO_EXEC
-        #: at statement time, default fused) — chooses fused per-batch
-        #: pipelines, the same with nested-loop probes answered by a hash
-        #: exchange on a thread pool, or the reference interpreter.
         self.exec_mode = exec_mode
-        #: Worker count for ``parallel`` mode; None reads REPRO_WORKERS
-        #: (falling back to the CPU count).
         self.workers = workers
         #: Override for the planner's §6 correlation-ordering decision;
         #: None derives it from the cache mode.
@@ -165,6 +173,29 @@ class Database:
     def subquery_cache_mode(self, value: str) -> None:
         self._subquery_cache_mode = _check_cache_mode(value)
 
+    @property
+    def exec_mode(self) -> str | None:
+        """The engine: ``"fused"`` per-batch pipelines, ``"interp"`` the
+        reference interpreter, or ``"parallel"``, an accepted spelling of
+        ``"fused"``.  ``None`` reads ``REPRO_EXEC`` per statement (default
+        fused)."""
+        return self._exec_mode
+
+    @exec_mode.setter
+    def exec_mode(self, value: str | None) -> None:
+        self._exec_mode = _check_exec_mode(value)
+
+    @property
+    def workers(self) -> int | None:
+        """A positive worker count or ``None``: validated, read by no
+        engine (callers that size the ``"parallel"`` spelling keep
+        working)."""
+        return self._workers
+
+    @workers.setter
+    def workers(self, value: int | None) -> None:
+        self._workers = _check_workers(value)
+
     def optimizer(self) -> Optimizer:
         """A fresh optimizer reflecting the current configuration."""
         return Optimizer(
@@ -188,16 +219,12 @@ class Database:
         ``storage`` defaults to the live engine, which a write statement
         reads its own target rows through inside its batch; a SELECT
         passes the :class:`~repro.serving.session.SnapshotStorage` of its
-        pin.  A parallel executor makes this database hold the worker
-        pools until it closes.
+        pin.
         """
-        mode, workers = resolve_exec_settings(self.exec_mode, self.workers)
-        if mode == "parallel" and workers > 1:
-            hold_backends(self)
         return Executor(
             self.storage if storage is None else storage,
             self.catalog, self._subquery_cache_mode,
-            exec_mode=mode, workers=workers,
+            exec_mode=self._exec_mode,
         )
 
     @property
@@ -221,10 +248,6 @@ class Database:
                 return
             self._closed = True
         self.storage.close()
-        # Worker pools are process-wide (they hold no per-database
-        # state): they go when the last database holding them closes,
-        # never under a statement another database is running.
-        release_backends(self)
 
     def __enter__(self) -> "Database":
         return self

@@ -48,86 +48,39 @@ class QueryResult:
         return self.rows[0][0]
 
 
-#: Every execution engine an entry point may select.
+#: Every execution engine an entry point may select.  ``"parallel"`` is an
+#: accepted spelling of ``"fused"``: it runs the fused engine unchanged.
 VALID_EXEC_MODES = ("fused", "parallel", "interp")
 
 #: Subquery result caching: previous-binding reuse (§6), none, or a memo.
 SUBQUERY_CACHE_MODES = ("prev", "none", "memo")
 
 
-def parse_workers(text: str, source: str) -> int:
-    """A positive worker count from ``text``; ``source`` names it in the
-    error."""
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(
-            f"bad worker count {text!r} from {source}: "
-            "expected a positive integer"
-        )
-    return workers
+def resolve_exec_mode(exec_mode: str | None = None) -> str:
+    """The execution mode: ``"fused"`` (default), ``"parallel"`` (the same
+    engine), or ``"interp"``.
 
-
-def resolve_exec_settings(
-    exec_mode: str | None = None, workers: int | None = None
-) -> tuple[str, int]:
-    """Resolve ``(mode, workers)`` from arguments and the environment.
-
-    ``exec_mode`` (or the ``REPRO_EXEC`` environment variable when it is
-    ``None``) picks one of :data:`VALID_EXEC_MODES`; anything else —
-    including a typo — raises a :class:`ValueError` naming the valid
-    modes rather than silently falling through to a default engine.  The
-    worker count for ``parallel`` comes from, in precedence order: an
-    explicit ``workers`` argument, a ``parallel:N`` mode suffix, the
-    ``REPRO_WORKERS`` environment variable, then the machine's CPU count.
+    ``None`` falls back to the ``REPRO_EXEC`` environment variable, letting
+    any entry point A/B the fused pipeline engine against the reference
+    interpreter without code changes.  Anything else — including a typo —
+    raises a :class:`ValueError` naming the valid modes rather than
+    silently falling through to a default engine.
     """
     mode = exec_mode or os.environ.get("REPRO_EXEC", "fused")
-    if ":" in mode:
-        mode, __, suffix = mode.partition(":")
-        if mode != "parallel":
-            raise ValueError(
-                f"exec mode {mode!r} takes no ':N' worker suffix "
-                "(only 'parallel:N' does)"
-            )
-        if workers is None:
-            workers = parse_workers(suffix, source="exec_mode suffix")
     if mode not in VALID_EXEC_MODES:
         raise ValueError(
             f"unknown exec mode {mode!r}; valid modes: "
             + ", ".join(VALID_EXEC_MODES)
         )
-    if workers is None:
-        env_workers = os.environ.get("REPRO_WORKERS")
-        if env_workers is not None:
-            workers = parse_workers(env_workers, source="REPRO_WORKERS")
-        else:
-            workers = (os.cpu_count() or 1) if mode == "parallel" else 1
-    elif workers < 1:
-        raise ValueError(
-            f"bad worker count {workers!r}: expected a positive integer"
-        )
-    return mode, workers
-
-
-def resolve_exec_mode(exec_mode: str | None = None) -> str:
-    """The execution mode: ``"fused"`` (default), ``"parallel"``, or
-    ``"interp"``.
-
-    ``None`` falls back to the ``REPRO_EXEC`` environment variable, letting
-    any entry point A/B the fused pipeline engine against its
-    worker-pool twin and the reference interpreter without code changes.
-    """
-    return resolve_exec_settings(exec_mode)[0]
+    return mode
 
 
 class Runtime:
     """Cross-block execution services for one statement.
 
-    ``exec_mode`` and ``workers`` arrive already resolved (one of
-    :data:`VALID_EXEC_MODES` and a positive count): the :class:`Executor`
-    resolves arguments and environment once.
+    ``exec_mode`` arrives already resolved (one of
+    :data:`VALID_EXEC_MODES`): the :class:`Executor` resolves arguments
+    and environment once.
     """
 
     def __init__(
@@ -137,16 +90,11 @@ class Runtime:
         planned: PlannedStatement,
         subquery_cache_mode: str = "prev",
         exec_mode: str = "fused",
-        workers: int = 1,
     ):
         if subquery_cache_mode not in SUBQUERY_CACHE_MODES:
             raise ValueError(f"bad subquery_cache_mode {subquery_cache_mode!r}")
         self.interpret = exec_mode == "interp"
-        # Parallel mode is the fused engine plus the nested-loop hash
-        # exchange, whose probe chunks run on the worker pool.
-        self.parallel = exec_mode == "parallel"
         self.fused = not self.interpret
-        self.workers = workers
         self.storage = storage
         self.catalog = catalog
         self.planned = planned
@@ -268,8 +216,6 @@ def _context_for(runtime: Runtime, planned: PlannedStatement) -> ExecContext:
         schemas=schemas,
         interpret=runtime.interpret,
         fused=runtime.fused,
-        parallel=runtime.parallel,
-        workers=runtime.workers,
     )
 
 
@@ -282,21 +228,18 @@ class Executor:
         catalog: Catalog,
         subquery_cache_mode: str = "prev",
         exec_mode: str | None = None,
-        workers: int | None = None,
     ):
         self._storage = storage
         self._catalog = catalog
         self._cache_mode = subquery_cache_mode
-        self._exec_mode, self._workers = resolve_exec_settings(
-            exec_mode, workers
-        )
+        self._exec_mode = resolve_exec_mode(exec_mode)
         self.last_runtime: Runtime | None = None
 
     def execute(self, planned: PlannedStatement) -> QueryResult:
         """Run a planned SELECT to completion."""
         runtime = Runtime(
             self._storage, self._catalog, planned, self._cache_mode,
-            exec_mode=self._exec_mode, workers=self._workers,
+            exec_mode=self._exec_mode,
         )
         self.last_runtime = runtime
         ctx = _context_for(runtime, planned)
@@ -315,7 +258,7 @@ class Executor:
         """Yield pre-projection rows (with TIDs) — used by UPDATE/DELETE."""
         runtime = Runtime(
             self._storage, self._catalog, planned, self._cache_mode,
-            exec_mode=self._exec_mode, workers=self._workers,
+            exec_mode=self._exec_mode,
         )
         self.last_runtime = runtime
         node = planned.root

@@ -20,8 +20,10 @@ Pipeline breakers terminate chains and couple them batch-at-a-time:
   inner side tuple-at-a-time: the inner may be abandoned early, and
   batch-granular RSI accounting would charge tuples the reference engine
   never pulled (see :func:`_lazy_rows`).
-- **Nested-loop join** re-opens its inner scan per outer row, with the
-  inner's batch loop inlined into the driver.
+- **Nested-loop join** probes its inner once per outer row and joins
+  the matches in one loop: an eligible segment-scan inner is answered
+  from a hash of the relation (:func:`_hash_prober`), any other inner
+  re-opens its scan (:func:`_rescan_prober`).
 - **Subquery-effect barriers** need no special casing: subquery-bearing
   factors are never reordered by :mod:`repro.engine.compile`, and fused
   drivers reuse the *same* compiled conjunction closures as the reference
@@ -33,10 +35,6 @@ A chain's per-tuple work is written once, as a **chunk processor**
 mapping SARG-matched ``(tid, values)`` pairs to an output batch, which
 the chain's driver applies over ``scan.batches()``.
 
-``exec_mode="parallel"`` compiles the same drivers with one exception:
-an eligible nested-loop join gets the hash exchange of
-:mod:`repro.engine.parallel` instead of :func:`_nested_loop_driver`.
-
 Counter fidelity: ``batches()`` does no RSI accounting; drivers charge
 ``CostCounters.count_rsi_call(len(batch))`` before a batch is processed.
 Totals match the tuple-at-a-time path exactly because every batched
@@ -44,8 +42,7 @@ stream here is fully consumed — the only partial consumer in the engine
 (the merge-join inner) stays on the per-tuple path.
 
 Drivers are compiled once per plan node and cached on
-``PlanNode.compiled`` (keys ``"fused"`` and ``"fused_out"``, and
-``"parallel"`` and ``"parallel_out"`` for parallel mode); they
+``PlanNode.compiled`` (keys ``"fused"`` and ``"fused_out"``); they
 capture only compiled programs and plan constants, never an execution
 context, so a cached plan re-executes with fresh runtimes.
 """
@@ -58,12 +55,13 @@ from operator import itemgetter
 from typing import Callable, Iterator
 
 from ..errors import ExecutionError
-from ..optimizer.bound import BoundColumn
+from ..optimizer.bound import BoundColumn, BoundSubquery
 from ..optimizer.plan import (
     AggregateNode,
     DistinctNode,
     FilterNode,
     HashJoinNode,
+    IndexAccess,
     MergeJoinNode,
     NestedLoopJoinNode,
     PlanNode,
@@ -71,6 +69,11 @@ from ..optimizer.plan import (
     ScanNode,
     SortNode,
 )
+from ..rss.sargs import CompareOp, SargProgram, sarg_program
+from ..rss.scan import page_rows
+from ..rss.storage import ScanSnapshot
+from ..rss.tuples import DecodePlan
+from ..sql import ast
 from .evaluator import EvalEnv
 from .operators import (
     ExecContext,
@@ -84,6 +87,7 @@ from .operators import (
     _build_scan,
     _HashJoinProgram,
     _program,
+    _ScanProgram,
     aggregate_rows,
     build_hash_table,
     iterate,
@@ -155,16 +159,10 @@ def describe_chains(node: PlanNode) -> list[str]:
 
 
 def _fused_program(node: PlanNode, ctx: ExecContext) -> BatchDriver:
-    # Parallel mode compiles its own driver tree: an eligible nested-loop
-    # join gets the hash exchange, and every ancestor captures that
-    # driver, so a distinct cache key keeps the two engines from mixing.
-    # The exchange reads ``ctx.workers`` at call time, so one cached
-    # parallel driver serves any worker count.
     cache = node.compiled
-    key = "parallel" if ctx.parallel else "fused"
-    if key not in cache:
-        cache[key] = _build_fused(node, ctx)
-    return cache[key]
+    if "fused" not in cache:
+        cache["fused"] = _build_fused(node, ctx)
+    return cache["fused"]
 
 
 def _build_fused(node: PlanNode, ctx: ExecContext) -> BatchDriver:
@@ -183,12 +181,6 @@ def _build_fused(node: PlanNode, ctx: ExecContext) -> BatchDriver:
         source = _fused_program(bottom, ctx)
         return _row_chain_driver(source, preds, fns)
     if isinstance(node, NestedLoopJoinNode):
-        if ctx.parallel:
-            from .parallel import parallel_nested_loop_driver
-
-            driver = parallel_nested_loop_driver(node, ctx)
-            if driver is not None:
-                return driver
         return _nested_loop_driver(node, ctx)
     if isinstance(node, MergeJoinNode):
         return _merge_join_driver(node, ctx)
@@ -465,11 +457,14 @@ def _row_chain_driver(
 
 
 def _nested_loop_driver(node: NestedLoopJoinNode, ctx: ExecContext) -> BatchDriver:
-    """Nested loops with the inner scan's batch loop inlined.
+    """Nested loops: per outer row, one probe of the inner and one match loop.
 
-    Per outer row the inner access re-opens (probe SARGs and index bounds
-    re-evaluate against the outer row) and is always fully consumed, so
-    batch-at-a-time RSI charging is exact.
+    A probe yields the inner tuples its SARGs match, in the serial scan's
+    order and already charged their RSI calls; the match loop below, the
+    only one, applies the inner residual, merges the composite ``Row``
+    and applies the join residual.  The probe is the hash probe of
+    :func:`_hash_prober` when the inner is eligible and re-opens the
+    inner access (:func:`_rescan_prober`) otherwise.
     """
     residual = _program(node, ctx, _build_nested_loop)
     inner = node.inner
@@ -477,32 +472,25 @@ def _nested_loop_driver(node: NestedLoopJoinNode, ctx: ExecContext) -> BatchDriv
     inner_alias = inner.alias
     inner_test = inner_program.residual
     outer_source = _fused_program(node.outer, ctx)
+    open_probe = _hash_prober(node, inner_program) or _rescan_prober(
+        inner, inner_program
+    )
 
     def driver(ctx: ExecContext, outer: EvalEnv | None):
-        count_rsi = ctx.storage.counters.count_rsi_call
         # One probe environment re-points at each outer row in turn; the
         # inner residual environment chains through it for correlation.
         probe_env = ctx.env(Row(), outer)
         inner_env = ctx.env(Row(), probe_env)
         join_env = ctx.env(Row(), outer)
-        # Pages of the inner relation decode once across all probes of
-        # this statement; fetches and counters are probe-exact (the cache
-        # dies with the driver call, before any tuple can change).
-        decode_cache: dict = {}
+        probe = open_probe(ctx)
         for outer_batch in outer_source(ctx, outer):
             out = []
             append = out.append
             for outer_row in outer_batch:
                 probe_env.row = outer_row
-                scan = open_scan(
-                    inner, inner_program, ctx, probe_env, decode_cache
-                )
-                if scan is None:
-                    continue
                 outer_values = outer_row.values
                 outer_tids = outer_row.tids
-                for batch in scan.batches():
-                    count_rsi(len(batch))
+                for batch in probe(probe_env):
                     for tid, values in batch:
                         if inner_test is not None:
                             inner_env.row = Row(
@@ -526,6 +514,181 @@ def _nested_loop_driver(node: NestedLoopJoinNode, ctx: ExecContext) -> BatchDriv
     return driver
 
 
+def _rescan_prober(inner: ScanNode, program: _ScanProgram):
+    """Probes that re-open the inner access per outer row.
+
+    The scan re-opens against the outer row (probe SARGs and index bounds
+    re-evaluate) and is always fully consumed, so batch-at-a-time RSI
+    charging is exact.
+    """
+
+    def open_probe(ctx: ExecContext):
+        count_rsi = ctx.storage.counters.count_rsi_call
+        # Pages of the inner relation decode once across all probes of
+        # this driver call; fetches and counters are probe-exact (the cache
+        # dies with the driver call, before any tuple can change).
+        decode_cache: dict = {}
+
+        def probe(env: EvalEnv):
+            scan = open_scan(inner, program, ctx, env, decode_cache)
+            if scan is None:
+                return
+            for batch in scan.batches():
+                count_rsi(len(batch))
+                yield batch
+
+        return probe
+
+    return open_probe
+
+
+#: Expression nodes that evaluate through the runtime's subquery machinery.
+#: ``walk_expr`` yields (and does not descend into) both forms.
+_SUBQUERY_NODES = (BoundSubquery, ast.InSubquery)
+
+
+def _subquery_free(exprs) -> bool:
+    """True when no expression reaches the runtime's subquery machinery.
+
+    A subquery fetches pages and moves statement-scoped caches in the
+    middle of a probe, which the hash probe's replayed fetch trace could
+    not reproduce.
+    """
+    for expr in exprs:
+        for node in ast.walk_expr(expr):
+            if type(node) in _SUBQUERY_NODES:
+                return False
+    return True
+
+
+def _probe_exprs(node: NestedLoopJoinNode) -> list:
+    """Every expression a probe evaluates: SARG values, inner and join
+    residuals."""
+    exprs = list(node.inner.residual) + list(node.residual)
+    for expression in node.inner.sargs:
+        for group in expression.groups:
+            exprs.extend(pred.value for pred in group)
+    return exprs
+
+
+def _probe_keys(
+    program: _ScanProgram,
+) -> tuple[tuple[int, ...], tuple, SargProgram, tuple]:
+    """Split SARG parts into hash-key equality conjuncts and the rest.
+
+    A part whose DNF is a single group of all-equality predicates is a
+    conjunction of ``column = probe-value`` terms: its column positions
+    become hash-key components and its value closures compute the probe
+    key.  Remaining parts form a shape of their own, whose program each
+    probe binds into a matcher over its bucket.
+    """
+    key_positions: list[int] = []
+    key_value_fns: list = []
+    rest_shape: list = []
+    rest_value_fns: list = []
+    values = iter(program.sarg_values)
+    for part in program.sarg_shape:
+        fns = [next(values) for group in part for __ in group]
+        if len(part) == 1 and all(op is CompareOp.EQ for __, op, ___ in part[0]):
+            key_positions.extend(position for position, __, ___ in part[0])
+            key_value_fns.extend(fns)
+        else:
+            rest_shape.append(part)
+            rest_value_fns.extend(fns)
+    return (
+        tuple(key_positions),
+        tuple(key_value_fns),
+        sarg_program(tuple(rest_shape)),
+        tuple(rest_value_fns),
+    )
+
+
+def _build_buckets(
+    snapshot: ScanSnapshot, plan: DecodePlan, key_positions: tuple[int, ...]
+) -> dict[tuple, list]:
+    """Hash the frozen inner relation by its probe-key columns.
+
+    Read from the page-store snapshot (no counter effects) in (page, slot)
+    order, so every bucket keeps the serial scan order.  Rows with a NULL
+    key component are left out: SQL equality never matches NULL, exactly
+    as the serial matcher rejects every tuple for a NULL probe value.
+    """
+    buckets: dict[tuple, list] = {}
+    get_page = snapshot.get_page
+    relation_id = snapshot.relation_id
+    for page_id in snapshot.page_ids:
+        for item in page_rows(page_id, get_page(page_id), relation_id, plan):
+            values = item[1]
+            key = tuple([values[position] for position in key_positions])
+            if None in key:
+                continue
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [item]
+            else:
+                bucket.append(item)
+    return buckets
+
+
+def _hash_prober(node: NestedLoopJoinNode, program: _ScanProgram):
+    """Hash probes of a segment-scan inner, or ``None`` when ineligible.
+
+    Eligible: the inner is a plain segment scan, at least one SARG part
+    is an all-equality conjunction, and nothing the probe evaluates
+    contains a subquery.  An index inner is never eligible: its B-tree
+    descent and per-entry data-page fetches *are* its cost trace.
+
+    The inner relation is hashed on the first probe of a driver call, so
+    a join whose outer yields nothing decodes no inner page.  Each probe
+    is then a bucket lookup that reproduces one serial inner scan's cost
+    trace exactly: it charges one RSI call per SARG-matched tuple and
+    replays ``BufferPool.fetch`` over every inner page in segment order,
+    as the rescan would have fetched them.  The match loop has no counter
+    effects (no subqueries), so the trace is the serial one.
+    """
+    inner = node.inner
+    if isinstance(inner.access, IndexAccess) or not _subquery_free(
+        _probe_exprs(node)
+    ):
+        return None
+    key_positions, key_value_fns, rest_program, rest_value_fns = _probe_keys(
+        program
+    )
+    if not key_positions:
+        return None
+    table = inner.table
+    plan = program.decode_plan
+
+    def open_probe(ctx: ExecContext):
+        storage = ctx.storage
+        count_rsi = storage.counters.count_rsi_call
+        fetch = storage.buffer.fetch
+        buckets: dict[tuple, list] | None = None
+        inner_pages: tuple[int, ...] = ()
+        no_match: list = []
+
+        def probe(env: EvalEnv):
+            nonlocal buckets, inner_pages
+            if buckets is None:
+                snapshot = storage.scan_snapshot(table)
+                inner_pages = snapshot.page_ids
+                buckets = _build_buckets(snapshot, plan, key_positions)
+            key = tuple([fn(env) for fn in key_value_fns])
+            matched = no_match if None in key else buckets.get(key, no_match)
+            if matched and rest_value_fns:
+                rest = rest_program.bind([fn(env) for fn in rest_value_fns])
+                if rest is not None:
+                    matched = [item for item in matched if rest(item[1])]
+            count_rsi(len(matched))
+            for page_id in inner_pages:
+                fetch(page_id)
+            return (matched,)
+
+        return probe
+
+    return open_probe
+
+
 def _hash_join_driver(node: HashJoinNode, ctx: ExecContext) -> BatchDriver:
     """Hash join with the probe loop inlined over fused outer batches.
 
@@ -539,7 +702,7 @@ def _hash_join_driver(node: HashJoinNode, ctx: ExecContext) -> BatchDriver:
     if node.partitions > 1:
 
         def grace_driver(ctx: ExecContext, outer: EvalEnv | None):
-            serial = replace(ctx, fused=False, parallel=False)
+            serial = replace(ctx, fused=False)
             yield from _rebatch(iterate(node, serial, outer))
 
         return grace_driver
@@ -632,7 +795,7 @@ def _lazy_rows(
         return sort_rows(
             node, ctx, chain.from_iterable(fused_batches(node.child, ctx, outer))
         )
-    return iterate(node, replace(ctx, fused=False, parallel=False), outer)
+    return iterate(node, replace(ctx, fused=False), outer)
 
 
 def _sort_driver(node: SortNode, ctx: ExecContext) -> BatchDriver:
@@ -816,10 +979,9 @@ def _distinct_driver(node: DistinctNode, ctx: ExecContext) -> BatchDriver:
 
 def _output_program(node: PlanNode, ctx: ExecContext) -> BatchDriver:
     cache = node.compiled
-    key = "parallel_out" if ctx.parallel else "fused_out"
-    if key not in cache:
-        cache[key] = _build_output(node, ctx)
-    return cache[key]
+    if "fused_out" not in cache:
+        cache["fused_out"] = _build_output(node, ctx)
+    return cache["fused_out"]
 
 
 def _build_output(node: PlanNode, ctx: ExecContext) -> BatchDriver:

@@ -65,12 +65,6 @@ class ExecContext:
     #: When set, plans execute through the fused per-batch drivers of
     #: :mod:`repro.engine.fuse` instead of one generator per operator.
     fused: bool = False
-    #: When set (implies ``fused``), an eligible nested-loop join runs
-    #: through the worker-pool hash exchange of :mod:`repro.engine.parallel`.
-    parallel: bool = False
-    #: Worker count for the exchange; read at call time, so compiled
-    #: drivers cached on plan nodes stay worker-count-independent.
-    workers: int = 1
 
     @property
     def storage(self):
@@ -154,8 +148,9 @@ class _ScanProgram:
 
     decode_plan: DecodePlan
     #: the SARGs' shape (per sargable factor, per DNF group, per predicate:
-    #: column position, operator, column kind), so the parallel exchange
-    #: can recognize equality probe keys without re-walking the plan
+    #: column position, operator, column kind), so the fused nested-loop
+    #: hash probe can recognize equality probe keys without re-walking
+    #: the plan
     sarg_shape: SargShape
     #: one value closure per shape predicate, in shape order
     sarg_values: tuple[EvalFn, ...]

@@ -45,10 +45,6 @@ class BufferPool:
         #: Guards the LRU map and its counter updates; sessions sharing the
         #: pool account their fetches through the same trace.
         self._lock = threading.Lock()
-        # Workers read pages through ScanSnapshot (a raw page-store
-        # handle) and never touch the pool; only statement-issuing threads
-        # call fetch()/note_fetch(), replaying the serial LRU trace at
-        # gather points.
         self._resident: OrderedDict[int, None] = OrderedDict()
 
     def note_fetch(self, page_id: int) -> None:

@@ -35,20 +35,6 @@ class CostCounters:
         """
         self.rsi_calls += calls
 
-    def merge(self, other: "CostCounters") -> None:
-        """Fold a worker's private counters in by summation.
-
-        Parallel drivers give every worker its own ``CostCounters`` and
-        the driving thread merges them at the gather point.  Summation is
-        exact because every counter mutation outside this class is an
-        increment, so per-worker partial sums recompose into the serial
-        totals regardless of completion order (``repro check --fusion``
-        compares them with the serial engine's).
-        """
-        self.page_fetches += other.page_fetches
-        self.rsi_calls += other.rsi_calls
-        self.buffer_hits += other.buffer_hits
-
     def snapshot(self) -> "CounterSnapshot":
         """An immutable copy of the current counter values."""
         return CounterSnapshot(self.page_fetches, self.rsi_calls, self.buffer_hits)
@@ -57,8 +43,7 @@ class CostCounters:
         """Rewind the counters to a previously-taken snapshot.
 
         Lifecycle writes (reset/restore) live here, next to the fields:
-        every mutation *outside* this class must be an increment so
-        per-worker counter copies stay mergeable by summation.
+        every mutation *outside* this class must be an increment.
         """
         self.page_fetches = saved.page_fetches
         self.rsi_calls = saved.rsi_calls

@@ -77,8 +77,6 @@ class Page:
         self._first_empty = 0
         self._live_bytes = 0
         if data is None:
-            # Page bytes mutate only on the driving thread (DML drains all
-            # workers before any write); scan workers only read them.
             self.data = bytearray(PAGE_SIZE)
             self._set_header(0, HEADER_SIZE)
             self._live_count = 0

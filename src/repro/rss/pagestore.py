@@ -84,7 +84,7 @@ class PageStore:
     def __init__(self, disk: "DiskManager | None" = None):
         #: Guards the live page map, the allocator watermark, the undo
         #: frames, and the version/pin/history bookkeeping below, so
-        #: snapshot readers and temp-page allocation from worker threads
+        #: snapshot readers and temp-page allocation from client threads
         #: stay consistent with the single in-flight writer.
         self._lock = threading.RLock()
         self._pages: dict[int, object] = {}

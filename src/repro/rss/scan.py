@@ -36,8 +36,8 @@ through one generated predicate per SARG shape, bound to the scan's
 constants at open (see :mod:`repro.rss.sargs`), and records decode
 through a per-relation :class:`~repro.rss.tuples.DecodePlan`.
 
-Every segment scan, and the parallel exchange's bucket build, turns a
-page into rows through one function, :func:`page_rows`: one pass over
+Every segment scan, and the nested-loop hash probe's bucket build, turns
+a page into rows through one function, :func:`page_rows`: one pass over
 the page bytes that reads the slot directory at once, recognizes a
 NULL-free record of the relation by one byte-prefix compare, unpacks it
 straight from the page, and tests the SARGs before a TID is built.
@@ -102,8 +102,8 @@ def page_rows(
     The matcher runs before a ``TupleId`` is built.
 
     Pure over the page — no counters, no buffer — which is what lets
-    the parallel exchange hash a page-store snapshot while the driving
-    thread replays the buffer-pool fetches.
+    the nested-loop hash probe hash a page-store snapshot and replay the
+    buffer-pool fetches separately.
     """
     data = page.data
     starts = data.startswith

@@ -36,8 +36,7 @@ class Segment:
         self.name = name
         self._store = store
         self._buffer = buffer
-        # Mutated only by DML on the driving thread; the parallel exchange
-        # freezes its view with ScanSnapshot (a tuple copy) before hashing.
+        # Scans and ScanSnapshot freeze their view of it (a tuple copy).
         self.page_ids: list[int] = []
 
     # -- modification ------------------------------------------------------

@@ -48,15 +48,16 @@ FP_GROUP_COMMIT_BEFORE_FLIP = register_point(
 
 @dataclass(frozen=True)
 class ScanSnapshot:
-    """Read-only view of one relation's segment for the parallel exchange.
+    """Read-only view of one relation's segment for the nested-loop hash
+    probe of :mod:`repro.engine.fuse`.
 
     The page list is frozen at snapshot time (the same freeze
     :class:`~repro.rss.scan.SegmentScan` performs at open) and
     ``get_page`` reads pages straight from the page store — a plain
     lookup with **no** buffer-pool traffic and **no** counter effects.
-    The statement's driving thread owns the cost trace: it replays
-    ``BufferPool.fetch`` over these page ids in serial order while the
-    exchange answers probes from the hashed snapshot.
+    The probe hashes the relation from it once, then replays
+    ``BufferPool.fetch`` over these page ids per probe, so the cost trace
+    is the serial rescan's.
     """
 
     page_ids: tuple[int, ...]

@@ -135,7 +135,7 @@ class TestMain:
         [
             ("REPRO_EXEC=bogus", "unknown exec mode 'bogus'"),
             ("REPRO_EXEC=compiled", "valid modes: fused, parallel, interp"),
-            ("REPRO_WORKERS=0", "bad worker count '0' from REPRO_WORKERS"),
+            ("REPRO_EXEC=parallel:2", "unknown exec mode 'parallel:2'"),
             ("REPRO_FAULTS=nosuch@1:error", "unknown fault point 'nosuch'"),
             ("--db", "No such file or directory"),
         ],
@@ -144,7 +144,7 @@ class TestMain:
     def test_bad_setting_is_reported_not_raised(
         self, tmp_path, monkeypatch, capsys, setting, expected
     ):
-        for name in ("REPRO_EXEC", "REPRO_WORKERS", "REPRO_FAULTS"):
+        for name in ("REPRO_EXEC", "REPRO_FAULTS"):
             monkeypatch.delenv(name, raising=False)
         script = tmp_path / "empty.sql"
         script.write_text("")

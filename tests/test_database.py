@@ -109,16 +109,25 @@ def test_column_named_twice_is_rejected(db, sql):
     assert db.catalog.indexes_on("T") == []
 
 
-@pytest.mark.parametrize(
-    "setting,bad",
-    [
-        ("w", float("nan")),
-        ("w", float("inf")),
-        ("w", -1.0),
-        ("subquery_cache_mode", "memoize"),
-    ],
-    ids=["w-nan", "w-inf", "w-negative", "cache-memoize"],
-)
+#: One bad value per validated setting, checked alike at construction and
+#: on assignment.
+BAD_SETTINGS = [
+    ("w", float("nan")),
+    ("w", float("inf")),
+    ("w", -1.0),
+    ("subquery_cache_mode", "memoize"),
+    ("exec_mode", "bogus"),
+    ("workers", 0),
+    ("workers", "x"),
+    ("workers", 2.5),
+]
+BAD_SETTING_IDS = [
+    "w-nan", "w-inf", "w-negative", "cache-memoize",
+    "exec-bogus", "workers-zero", "workers-str", "workers-float",
+]
+
+
+@pytest.mark.parametrize("setting,bad", BAD_SETTINGS, ids=BAD_SETTING_IDS)
 def test_bad_settings_fail_at_construction(setting, bad):
     """A setting that would break the first SELECT fails before any DDL or
     INSERT can run, naming the bad value."""
@@ -126,16 +135,7 @@ def test_bad_settings_fail_at_construction(setting, bad):
         Database(**{setting: bad})
 
 
-@pytest.mark.parametrize(
-    "setting,bad",
-    [
-        ("w", float("nan")),
-        ("w", float("inf")),
-        ("w", -1.0),
-        ("subquery_cache_mode", "memoize"),
-    ],
-    ids=["w-nan", "w-inf", "w-negative", "cache-memoize"],
-)
+@pytest.mark.parametrize("setting,bad", BAD_SETTINGS, ids=BAD_SETTING_IDS)
 def test_bad_settings_fail_at_assignment(setting, bad):
     """Assignment runs the construction check: a bad value raises at once
     and the setting keeps its previous, valid value."""
@@ -150,8 +150,14 @@ def test_valid_settings_assign():
     db = Database()
     db.w = 0.0
     db.subquery_cache_mode = "memo"
+    db.exec_mode = "interp"
+    db.workers = 3
     assert (db.w, db.subquery_cache_mode) == (0.0, "memo")
+    assert (db.exec_mode, db.workers) == ("interp", 3)
     assert db.optimizer().w == 0.0
+    db.exec_mode = None
+    db.workers = None
+    assert (db.exec_mode, db.workers) == (None, None)
 
 
 class TestUpdateDelete:

@@ -3,10 +3,10 @@
 The corpus mirrors the two crossover shapes of ``repro check --fusion``'s
 hash-join audit: an unindexed large join whose filtered build side fits in
 memory (``partitions == 1``) and a padded join whose build side exceeds the
-buffer pool (grace partitioning).  Every query runs through all three
-execution modes — interp, fused, parallel at several worker counts —
-over physically identical databases and must produce identical rows
-*and* identical cost counters.  A hypothesis sweep with NULL-laden
+buffer pool (grace partitioning).  Every query runs through both
+engines — interp and fused — and the ``parallel`` spelling of the fused
+engine over physically identical databases and must produce identical
+rows *and* identical cost counters.  A hypothesis sweep with NULL-laden
 join keys pins three-valued logic (NULL keys never match) against a naive
 Python reference join, and the full fault matrix replays mixed DML whose
 statements read through the fused engine's hash join.
@@ -40,7 +40,7 @@ def _disarm():
     get_injector().disarm()
 
 
-MODES = ("interp", "fused", 1, 2, 4)
+MODES = ("interp", "fused", "parallel")
 
 MEMORY_TABLES = [
     TableSpec(
@@ -77,11 +77,7 @@ GRACE_QUERIES = [
 
 def _build(tables, buffer_pages, mode):
     db = build_database(tables, seed=7, buffer_pages=buffer_pages)
-    if isinstance(mode, int):
-        db.exec_mode = "parallel"
-        db.workers = mode
-    else:
-        db.exec_mode = mode
+    db.exec_mode = mode
     return db
 
 
@@ -314,7 +310,7 @@ class TestNullKeys:
 
 
 class TestDML:
-    @pytest.mark.parametrize("mode", ["interp", 2], ids=["interp", "parallel"])
+    @pytest.mark.parametrize("mode", ["interp", "parallel"])
     def test_insert_select_through_hash_join(self, mode):
         db = _build(MEMORY_TABLES, 24, mode)
         select = (

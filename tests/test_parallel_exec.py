@@ -1,43 +1,40 @@
-"""Parallel execution ≡ fused ≡ interpreter, at every worker count.
+"""The fused engine's nested-loop hash probe ≡ interpreter, and the
+``"parallel"`` spelling.
 
-The parallel engine is the fused engine plus one hash exchange
-(``engine/parallel.py``): a nested-loop join whose inner is a segment
-scan with an equality probe SARG hashes the inner once per statement and
-runs its probe chunks on a worker pool.  Parallelism must be invisible:
-these tests run the same queries through ``exec_mode="parallel"`` at 1,
-2, and 4 workers against the fused and interpreted engines over
-physically identical databases and require *exactly ordered* identical
-rows, identical cost counters (page fetches, RSI calls, *and* buffer
-hits — the driving thread replays the serial LRU trace), and working
-DML.  A hypothesis predicate sweep and a fault-injection matrix ride on
-top, plus the shape of the mode (only the exchange submits pool work),
-the pool's lifecycle, and the mode/worker plumbing: unknown
-``REPRO_EXEC`` values and bad worker counts must fail loudly.
+A nested-loop join whose inner is a plain segment scan with an equality
+probe SARG hashes the inner once per driver call and answers each outer
+row from a bucket (``engine/fuse.py``).  The probe must be invisible:
+these tests run the same queries through the fused and interpreted
+engines over physically identical databases and require *exactly
+ordered* identical rows, identical cost counters (page fetches, RSI
+calls, *and* buffer hits — every probe replays the serial rescan's
+fetches), and working DML, including under a buffer smaller than the
+hashed inner.  A hypothesis predicate sweep and a fault-injection matrix
+ride on top, plus the shape of the strategy (only an eligible nested-loop
+join builds buckets, and only once it has an outer row) and the mode
+plumbing: ``"parallel"`` runs the fused engine, unknown ``REPRO_EXEC``
+values and bad worker counts fail loudly, and the retired ``parallel:N``
+suffix and ``REPRO_WORKERS`` variable are gone.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 import threading
 
 import pytest
 from hypothesis import given, settings
 
 from repro import Database
-from repro.engine.executor import (
-    VALID_EXEC_MODES,
-    resolve_exec_settings,
-)
+from repro.engine import fuse
+from repro.engine.executor import VALID_EXEC_MODES, resolve_exec_mode
 from repro.engine.external_sort import ExternalSorter
-from repro.engine.parallel import partition_ranges
-from repro.engine.scheduler import (
-    SerialBackend,
-    ThreadBackend,
-    get_backend,
-    shutdown_backends,
+from repro.optimizer.plan import (
+    HashJoinNode,
+    IndexAccess,
+    NestedLoopJoinNode,
+    walk_plan,
 )
-from repro.optimizer.plan import HashJoinNode, walk_plan
 from repro.workloads import build_empdept
 from repro.workloads.empdept import load_rows
 
@@ -57,35 +54,20 @@ from tests.test_faults import (
 )
 from tests.test_fused_exec import ORDERED_QUERIES
 
-WORKER_COUNTS = (1, 2, 4)
+
+@pytest.fixture(scope="module")
+def company_matrix() -> dict[str, Database]:
+    """Physically identical databases, one per engine."""
+    return {"fused": _company("fused"), "interp": _company("interp")}
 
 
 @pytest.fixture(scope="module")
-def company_matrix() -> dict[object, Database]:
-    """Physically identical databases: fused, interp, parallel x workers."""
-    databases: dict[object, Database] = {
-        "fused": _company("fused"),
-        "interp": _company("interp"),
-    }
-    for count in WORKER_COUNTS:
-        db = _company("parallel")
-        db.workers = count
-        databases[count] = db
-    return databases
-
-
-@pytest.fixture(scope="module")
-def empdept_matrix() -> dict[object, Database]:
-    databases: dict[object, Database] = {
-        "fused": build_empdept(employees=300, departments=12, seed=3),
-        "interp": build_empdept(employees=300, departments=12, seed=3),
+def empdept_matrix() -> dict[str, Database]:
+    databases = {
+        mode: build_empdept(employees=300, departments=12, seed=3)
+        for mode in ("fused", "interp")
     }
     databases["interp"].exec_mode = "interp"
-    for count in WORKER_COUNTS:
-        db = build_empdept(employees=300, departments=12, seed=3)
-        db.exec_mode = "parallel"
-        db.workers = count
-        databases[count] = db
     return databases
 
 
@@ -94,17 +76,28 @@ def _cold_run(db: Database, sql: str):
     return _run(db, sql)
 
 
+def _count_bucket_builds(monkeypatch) -> list[int]:
+    """Record the page count of every hash-probe bucket build."""
+    built: list[int] = []
+    build = fuse._build_buckets
+
+    def counting(snapshot, plan, key_positions):
+        built.append(len(snapshot.page_ids))
+        return build(snapshot, plan, key_positions)
+
+    monkeypatch.setattr(fuse, "_build_buckets", counting)
+    return built
+
+
 @pytest.mark.parametrize("sql", QUERY_CORPUS)
 def test_parallel_agrees_exactly_on_corpus(company_matrix, sql):
-    """Row-for-row, in order, at every worker count — the gather must
-    reproduce the serial sequence and the serial fetch/hit trace."""
+    """Row-for-row, in order, with the interpreter's fetch/hit trace."""
     rows = {}
     deltas = {}
     for key, db in company_matrix.items():
         rows[key], deltas[key] = _cold_run(db, sql)
-    for count in WORKER_COUNTS:
-        assert rows[count] == rows["fused"] == rows["interp"]
-        assert deltas[count] == deltas["fused"] == deltas["interp"]
+    assert rows["fused"] == rows["interp"]
+    assert deltas["fused"] == deltas["interp"]
 
 
 @pytest.mark.parametrize("sql", ORDERED_QUERIES)
@@ -113,9 +106,8 @@ def test_parallel_preserves_declared_orders(empdept_matrix, sql):
     deltas = {}
     for key, db in empdept_matrix.items():
         rows[key], deltas[key] = _cold_run(db, sql)
-    for count in WORKER_COUNTS:
-        assert rows[count] == rows["fused"] == rows["interp"]
-        assert deltas[count] == deltas["fused"] == deltas["interp"]
+    assert rows["fused"] == rows["interp"]
+    assert deltas["fused"] == deltas["interp"]
 
 
 #: A nested-loop join whose segment-scan inner DEPT is probed on DNO.
@@ -125,40 +117,37 @@ STAR_JOIN = (
 )
 
 
-def test_parallel_star_join_uses_the_hash_exchange(empdept_matrix):
-    """A segment-scan inner with an equality probe goes through the hash
-    exchange; the counters still replay the serial nested-loop trace."""
+def _hash_probed(db: Database, sql: str) -> bool:
+    """True when the plan has a nested-loop join over a segment-scan inner."""
+    return any(
+        isinstance(node, NestedLoopJoinNode)
+        and not isinstance(node.inner.access, IndexAccess)
+        for node in walk_plan(db.plan(sql).root)
+    )
+
+
+def test_parallel_star_join_uses_the_hash_exchange(monkeypatch, empdept_matrix):
+    """A segment-scan inner with an equality probe is hashed once; the
+    counters still replay the interpreter's nested-loop trace."""
     sql = STAR_JOIN
+    assert _hash_probed(empdept_matrix["fused"], sql)
+    built = _count_bucket_builds(monkeypatch)
     rows = {}
     deltas = {}
     for key, db in empdept_matrix.items():
         rows[key], deltas[key] = _cold_run(db, sql)
-    assert rows[4] == rows["fused"]
-    assert deltas[4] == deltas["fused"]
-    assert rows[4], "the star probe query must return rows to mean anything"
+    assert rows["fused"] == rows["interp"]
+    assert deltas["fused"] == deltas["interp"]
+    assert rows["fused"], "the star probe query must return rows to mean anything"
+    assert len(built) == 1, "the fused run hashes DEPT once; interp never"
 
 
 # ---------------------------------------------------------------------------
-# the shape of the mode: only the nested-loop exchange submits pool work
+# the shape of the strategy: only an eligible nested-loop join builds buckets
 # ---------------------------------------------------------------------------
 
-
-def _count_submissions(monkeypatch) -> list[int]:
-    """Record the task count of every ``ThreadBackend.imap`` call."""
-    submitted: list[int] = []
-    imap = ThreadBackend.imap
-
-    def counting(self, tasks):
-        tasks = list(tasks)
-        submitted.append(len(tasks))
-        return imap(self, tasks)
-
-    monkeypatch.setattr(ThreadBackend, "imap", counting)
-    return submitted
-
-
-#: Statements the parallel engine runs exactly as fused: a segment scan,
-#: an ungrouped aggregate, a GROUP BY, and an ORDER BY that spills runs.
+#: Statements with no nested-loop join: a segment scan, an ungrouped
+#: aggregate, a GROUP BY, and an ORDER BY that spills runs.
 SERIAL_SHAPES = (
     "SELECT A, B FROM T WHERE B > 300",
     "SELECT COUNT(*), SUM(B) FROM T WHERE A < 5",
@@ -170,9 +159,11 @@ SERIAL_SHAPES = (
 def test_only_the_nested_loop_exchange_submits_pool_work(
     monkeypatch, empdept_matrix
 ):
+    """Bucket builds happen for an eligible nested-loop join only: never
+    for scans, aggregates, sorts or the hash join operator."""
     from repro.analysis.check import hashjoin_corpus
 
-    db = Database(exec_mode="parallel", workers=2, buffer_pages=8)
+    db = Database(buffer_pages=8)
     db.execute("CREATE TABLE T (A INTEGER, B INTEGER)")
     rng = random.Random(5)
     load_rows(
@@ -187,27 +178,53 @@ def test_only_the_nested_loop_exchange_submits_pool_work(
         return write_run(self, workspace)
 
     monkeypatch.setattr(ExternalSorter, "_write_run", counting_write_run)
-    submitted = _count_submissions(monkeypatch)
+    built = _count_bucket_builds(monkeypatch)
     for sql in SERIAL_SHAPES:
         assert db.execute(sql).rows, sql
-        assert submitted == [], sql
+        assert built == [], sql
     assert len(sort_runs) > 1, "the ORDER BY must spill more than one run"
 
     hash_db = hashjoin_corpus()[0][0]
-    hash_db.exec_mode = "parallel"
-    hash_db.workers = 2
     sql = "SELECT T1.A, T2.J1 FROM T1, T2 WHERE T1.J1 = T2.J1 AND T1.A < 40"
     assert any(
         isinstance(node, HashJoinNode)
         for node in walk_plan(hash_db.plan(sql).root)
     )
     assert hash_db.execute(sql).rows
-    assert submitted == []
+    assert built == []
 
-    assert empdept_matrix[2].execute(STAR_JOIN).rows
-    assert sum(submitted) > 0, "the exchange must run its probes on the pool"
+    assert empdept_matrix["fused"].execute(STAR_JOIN).rows
+    assert len(built) == 1, "the nested-loop join must hash its inner"
     db.close()
     hash_db.close()
+
+
+def test_empty_outer_decodes_no_inner_page(monkeypatch):
+    """The inner is hashed on the first outer row: an outer that yields
+    nothing leaves every inner page undecoded (and unfetched)."""
+    from repro.rss import scan
+
+    db = _probe_db()
+    sql = "SELECT O.V, I.W FROM O, I WHERE O.K = I.K AND O.V < 0"
+    assert _hash_probed(db, sql)
+    built = _count_bucket_builds(monkeypatch)
+    decoded: list[int] = []
+    page_rows = scan.page_rows
+
+    def counting_page_rows(page_id, *args, **kwargs):
+        decoded.append(page_id)
+        return page_rows(page_id, *args, **kwargs)
+
+    monkeypatch.setattr(scan, "page_rows", counting_page_rows)
+    monkeypatch.setattr(fuse, "page_rows", counting_page_rows)
+    inner_pages = set(db.storage.segment("I").page_ids)
+    assert db.execute(sql).rows == []
+    assert built == []
+    assert decoded, "the outer scan decodes its own pages"
+    assert inner_pages.isdisjoint(decoded)
+    assert db.execute("SELECT O.V, I.W FROM O, I WHERE O.K = I.K").rows
+    assert built == [len(inner_pages)]
+    db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +234,8 @@ def test_only_the_nested_loop_exchange_submits_pool_work(
 
 def test_unknown_exec_mode_lists_valid_modes(monkeypatch):
     monkeypatch.delenv("REPRO_EXEC", raising=False)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
     with pytest.raises(ValueError) as caught:
-        resolve_exec_settings("vectorized")
+        resolve_exec_mode("vectorized")
     message = str(caught.value)
     assert "vectorized" in message
     for mode in VALID_EXEC_MODES:
@@ -233,35 +249,41 @@ def test_unknown_exec_mode_from_environment(monkeypatch):
 
 
 def test_parallel_worker_suffix_and_env(monkeypatch):
+    """The retired ``parallel:N`` suffix is an unknown mode, and
+    ``REPRO_WORKERS`` is read by nothing; ``parallel`` itself is an
+    accepted spelling of the fused engine."""
     monkeypatch.delenv("REPRO_EXEC", raising=False)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    assert resolve_exec_settings("parallel:3") == ("parallel", 3)
-    monkeypatch.setenv("REPRO_WORKERS", "5")
-    assert resolve_exec_settings("parallel") == ("parallel", 5)
-    # an explicit argument beats the environment
-    assert resolve_exec_settings("parallel", workers=2) == ("parallel", 2)
-    # non-parallel modes run single-worker by default
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    assert resolve_exec_settings("fused") == ("fused", 1)
+    with pytest.raises(ValueError, match="unknown exec mode 'parallel:3'"):
+        resolve_exec_mode("parallel:3")
+    monkeypatch.setenv("REPRO_WORKERS", "0")
+    db = Database(exec_mode="parallel")
+    assert db.workers is None
+    db.execute("CREATE TABLE T (A INTEGER)")
+    db.execute("INSERT INTO T VALUES (1)")
+    executor = db.executor()
+    assert executor.execute(db.plan("SELECT A FROM T")).rows == [(1,)]
+    assert executor.last_runtime.fused
+    db.close()
 
 
 @pytest.mark.parametrize(
-    "mode,env",
+    "mode,workers",
     [
         ("parallel:0", None),
         ("parallel:x", None),
         ("fused:2", None),
-        ("parallel", "0"),
+        ("parallel", 0),
         ("parallel", "many"),
     ],
 )
-def test_bad_worker_counts_fail_loudly(monkeypatch, mode, env):
-    if env is None:
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_WORKERS", env)
-    with pytest.raises(ValueError):
-        resolve_exec_settings(mode)
+def test_bad_worker_counts_fail_loudly(monkeypatch, mode, workers):
+    """A retired ``mode:N`` spelling or a worker count that is not a
+    positive integer raises a ``ValueError`` naming it, never a leaked
+    ``TypeError``."""
+    monkeypatch.delenv("REPRO_EXEC", raising=False)
+    bad = mode if workers is None else workers
+    with pytest.raises(ValueError, match=repr(bad)):
+        Database(exec_mode=mode, workers=workers)
 
 
 def test_database_rejects_nonpositive_workers():
@@ -274,7 +296,6 @@ def test_database_rejects_bad_exec_mode_at_construction(monkeypatch, mode):
     """A mode typo fails before any INSERT can commit, like ``workers``
     — not at the first SELECT."""
     monkeypatch.delenv("REPRO_EXEC", raising=False)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
     with pytest.raises(ValueError):
         Database(exec_mode=mode)
 
@@ -294,18 +315,15 @@ def test_dml_executes_under_parallel_mode():
 
 
 # ---------------------------------------------------------------------------
-# hypothesis sweep: parallel vs fused over NULL-laden data, order-exact
+# hypothesis sweep: fused vs interp over NULL-laden data, order-exact
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def sweep_matrix() -> dict[object, Database]:
-    databases: dict[object, Database] = {}
-    for key in ("fused", 2):
-        db = Database(
-            exec_mode="fused" if key == "fused" else "parallel",
-            workers=None if key == "fused" else key,
-        )
+def sweep_matrix() -> dict[str, Database]:
+    databases: dict[str, Database] = {}
+    for mode in ("fused", "interp"):
+        db = Database(exec_mode=mode)
         db.execute("CREATE TABLE T (A INTEGER, B INTEGER, S VARCHAR(4))")
         rows = []
         for a in (None, -2, 0, 1, 3, 7):
@@ -313,7 +331,7 @@ def sweep_matrix() -> dict[object, Database]:
                 rows.append((a, b, s))
         load_rows(db, "T", rows)
         db.execute("UPDATE STATISTICS")
-        databases[key] = db
+        databases[mode] = db
     return databases
 
 
@@ -325,17 +343,76 @@ def test_random_predicates_parallel_order_exact(sweep_matrix, predicate):
     deltas = {}
     for key, db in sweep_matrix.items():
         rows[key], deltas[key] = _run(db, sql)
-    assert rows[2] == rows["fused"]
-    assert deltas[2] == deltas["fused"]
+    assert rows["fused"] == rows["interp"]
+    assert deltas["fused"] == deltas["interp"]
 
 
 # ---------------------------------------------------------------------------
-# fault matrix under REPRO_EXEC=parallel: atomicity is worker-count blind
+# a buffer smaller than the hashed inner: the replayed trace must evict
 # ---------------------------------------------------------------------------
 
-#: The fault workload's tables plus an exchange-eligible join: inner O is
+
+def _small_buffer_pair() -> dict[str, Database]:
+    """Fused and interp databases whose 4-page buffer is smaller than the
+    9-page segment-scan inner I, so the probes' replayed fetches evict.
+
+    A unique index on ``O.V`` makes a narrow outer cheap enough that a
+    nested loop over the segment-scan inner beats the hash join.
+    """
+    databases = {}
+    for mode in ("fused", "interp"):
+        db = Database(exec_mode=mode, buffer_pages=4)
+        db.execute("CREATE TABLE O (K INTEGER, V INTEGER)")
+        db.execute("CREATE UNIQUE INDEX OV ON O (V)")
+        db.execute("CREATE TABLE I (K INTEGER, W INTEGER, PAD VARCHAR(200))")
+        load_rows(db, "O", [(i % 60, i) for i in range(400)])
+        load_rows(db, "I", [(i % 40, i, "p" * 180) for i in range(160)])
+        db.execute("UPDATE STATISTICS")
+        databases[mode] = db
+    return databases
+
+
+#: ``(sql, REPRO_HASHJOIN)``: probe SARG only, a join residual, a local
+#: SARG beside the probe key, and four probes under the paper's methods.
+SMALL_BUFFER_JOINS = [
+    ("SELECT O.V, I.W FROM O, I WHERE O.K = I.K AND O.V BETWEEN 5 AND 6", "1"),
+    ("SELECT O.V, I.W FROM O, I WHERE O.K = I.K AND I.W > O.V AND O.V = 9", "1"),
+    ("SELECT COUNT(*) FROM O, I WHERE O.K = I.K AND O.V = 3 AND I.W < 100", "1"),
+    ("SELECT O.V, I.W FROM O, I WHERE O.K = I.K AND O.V BETWEEN 5 AND 8", "0"),
+]
+
+
+@pytest.mark.parametrize(
+    "sql,hashjoin",
+    SMALL_BUFFER_JOINS,
+    ids=["probe", "join-residual", "local-sarg", "paper-methods"],
+)
+def test_hash_probe_under_a_buffer_smaller_than_the_inner(
+    monkeypatch, sql, hashjoin
+):
+    monkeypatch.setenv("REPRO_HASHJOIN", hashjoin)
+    databases = _small_buffer_pair()
+    fused = databases["fused"]
+    assert len(fused.storage.segment("I").page_ids) > fused.storage.buffer.capacity
+    assert _hash_probed(fused, sql), fused.explain(sql)
+    built = _count_bucket_builds(monkeypatch)
+    rows = {}
+    deltas = {}
+    for key, db in databases.items():
+        rows[key], deltas[key] = _cold_run(db, sql)
+    assert rows["fused"] == rows["interp"]
+    assert deltas["fused"] == deltas["interp"]
+    assert rows["fused"]
+    assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# fault matrix: DML that reads through the hash probe stays atomic
+# ---------------------------------------------------------------------------
+
+#: The fault workload's tables plus a hash-probe-eligible join: inner O is
 #: a plain segment scan probed on ``O.K = I.K``.
-EXCHANGE_SETUP = SETUP + [
+PROBE_SETUP = SETUP + [
     "CREATE TABLE O (K INTEGER, V INTEGER)",
     "CREATE TABLE I (K INTEGER, W VARCHAR(8))",
     "INSERT INTO O VALUES "
@@ -344,20 +421,20 @@ EXCHANGE_SETUP = SETUP + [
     "UPDATE STATISTICS",
 ]
 
-#: The fault workload, led by DML that reads through the exchange: every
+#: The fault workload, led by DML that reads through the hash probe: every
 #: fault point but ``commit.lock`` (taken before the statement reads) fires
-#: after the pool has run the probes for a write.
-EXCHANGE_MUTATIONS = [
+#: after the probe has answered the reads of a write.
+PROBE_MUTATIONS = [
     "INSERT INTO T SELECT O.V, I.W FROM O, I WHERE O.K = I.K",
     *MUTATIONS,
 ]
 
-#: Exchange DML run after the fault, on the rolled-back or recovered store.
-EXCHANGE_AFTER = "INSERT INTO T SELECT O.V + 1000, I.W FROM O, I WHERE O.K = I.K"
+#: Hash-probe DML run after the fault, on the rolled-back or recovered store.
+PROBE_AFTER = "INSERT INTO T SELECT O.V + 1000, I.W FROM O, I WHERE O.K = I.K"
 
 #: Every registered fault point, hit once, alternating error/crash so
-#: both recovery paths run under the parallel engine.
-PARALLEL_FAULT_MATRIX = [
+#: both recovery paths run with the hash probe.
+PROBE_FAULT_MATRIX = [
     (point, "error" if index % 2 == 0 else "crash")
     for index, point in enumerate(sorted(registered_points()))
 ]
@@ -365,8 +442,8 @@ PARALLEL_FAULT_MATRIX = [
 
 @pytest.mark.parametrize(
     "point,action",
-    PARALLEL_FAULT_MATRIX,
-    ids=[f"{p}:{a}" for p, a in PARALLEL_FAULT_MATRIX],
+    PROBE_FAULT_MATRIX,
+    ids=[f"{p}:{a}" for p, a in PROBE_FAULT_MATRIX],
 )
 def test_fault_matrix_under_parallel(tmp_path, monkeypatch, point, action):
     from repro.analysis.storage_check import logical_dump, verify_storage
@@ -374,24 +451,24 @@ def test_fault_matrix_under_parallel(tmp_path, monkeypatch, point, action):
     from repro.rss.disk import DiskManager
     from repro.rss.faults import FaultPlan
 
-    monkeypatch.setenv("REPRO_EXEC", "parallel")
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    db = build_db(tmp_path / "db.pages", EXCHANGE_SETUP)
-    submitted = _count_submissions(monkeypatch)
+    monkeypatch.delenv("REPRO_EXEC", raising=False)
+    db = build_db(tmp_path / "db.pages", PROBE_SETUP)
+    assert _hash_probed(db, "SELECT O.V, I.W FROM O, I WHERE O.K = I.K")
+    built = _count_bucket_builds(monkeypatch)
     plan = FaultPlan(point, hit=1, action=action)
     mirror, error, failed_at, fired = run_workload_under_fault(
-        db, plan, EXCHANGE_MUTATIONS
+        db, plan, PROBE_MUTATIONS
     )
     get_injector().disarm()
 
-    assert fired, f"{plan!r} never fired under parallel execution"
+    assert fired, f"{plan!r} never fired under the hash probe"
     assert error is not None
 
     if action == "error":
         assert not isinstance(error, SimulatedCrash)
         assert logical_dump(db) == mirror
         assert verify_storage(db) == []
-        assert db.execute(EXCHANGE_AFTER).affected_rows == 480
+        assert db.execute(PROBE_AFTER).affected_rows == 480
         assert verify_storage(db) == []
         db.close()
     else:
@@ -404,30 +481,22 @@ def test_fault_matrix_under_parallel(tmp_path, monkeypatch, point, action):
         survivor = Database(path=str(restored))
         assert logical_dump(survivor) == mirror
         assert verify_storage(survivor) == []
-        assert survivor.execute(EXCHANGE_AFTER).affected_rows == 480
+        assert survivor.execute(PROBE_AFTER).affected_rows == 480
         assert verify_storage(survivor) == []
         survivor.close()
-    assert sum(submitted) > 0, "the DML must read through the exchange"
+    assert built, "the DML must read through the hash probe"
 
 
 # ---------------------------------------------------------------------------
-# the worker pool: close() reclaims workers, atexit-safe registry
+# no worker pool: statements start no thread, databases close independently
 # ---------------------------------------------------------------------------
 
 
-def _worker_threads() -> list[threading.Thread]:
-    return [
-        thread
-        for thread in threading.enumerate()
-        if thread.name.startswith("repro-worker")
-    ]
-
-
-def _exchange_db() -> Database:
-    """A parallel database whose join ``O ⋈ I`` runs the exchange: the
-    outer O spans many pages (one probe submission per outer batch) and
-    the segment-scan inner I is probed on ``I.K = O.K``."""
-    db = Database(exec_mode="parallel", workers=2, buffer_pages=8)
+def _probe_db() -> Database:
+    """A database whose join ``O ⋈ I`` runs the hash probe: the outer O
+    spans many pages and the segment-scan inner I is probed on
+    ``I.K = O.K``."""
+    db = Database(buffer_pages=8)
     db.execute("CREATE TABLE O (K INTEGER, V INTEGER)")
     db.execute("CREATE TABLE I (K INTEGER, W INTEGER)")
     load_rows(db, "O", [(i % 50, i) for i in range(3000)])
@@ -437,21 +506,24 @@ def _exchange_db() -> Database:
 
 
 def test_close_leaves_no_worker_threads_alive():
-    shutdown_backends()
-    db = _exchange_db()
+    """The ``parallel`` spelling runs every statement on the calling
+    thread: no statement starts a thread, so none outlives ``close()``."""
+    before = set(threading.enumerate())
+    db = _probe_db()
+    db.exec_mode = "parallel"
+    db.workers = 2
     sql = "SELECT COUNT(*) FROM O, I WHERE O.K = I.K AND O.V >= 10"
+    assert _hash_probed(db, sql)
     assert db.execute(sql).scalar() == 2390
-    assert _worker_threads(), "the parallel statement must have used the pool"
+    assert set(threading.enumerate()) <= before
     db.close()
-    assert _worker_threads() == []
+    assert set(threading.enumerate()) <= before
 
 
 def test_closing_another_database_spares_a_running_statement():
-    """The exchange submits pool tasks per outer batch, so it needs its
-    pool after the first row; closing a database that holds no pool must
-    not shut it down under the statement."""
-    shutdown_backends()
-    db = _exchange_db()
+    """A statement part-way through its hash probe finishes after another
+    database closes."""
+    db = _probe_db()
     rows = db.executor().execute_rows(
         db.plan("SELECT O.V, I.W FROM O, I WHERE O.K = I.K")
     )
@@ -459,7 +531,6 @@ def test_closing_another_database_spares_a_running_statement():
     Database().close()
     assert 1 + sum(1 for __ in rows) == 2400
     db.close()
-    assert _worker_threads() == []
 
 
 def test_pools_recreate_after_close():
@@ -477,56 +548,3 @@ def test_pools_recreate_after_close():
     second.execute("UPDATE STATISTICS")
     assert second.execute("SELECT COUNT(*) FROM T").scalar() == 30
     second.close()
-
-
-def test_racing_statements_share_one_pool_per_worker_count():
-    """Client threads reaching the registry at once all get the same
-    pool; a lost update would leave an orphan pool no shutdown reaches."""
-    shutdown_backends()
-    clients = 8
-    barrier = threading.Barrier(clients)
-    pools = []
-
-    def fetch_pool():
-        barrier.wait(timeout=10)
-        pools.append(get_backend(3))
-
-    threads = [threading.Thread(target=fetch_pool) for __ in range(clients)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(pools) == clients
-    assert all(pool is pools[0] for pool in pools)
-    shutdown_backends()
-
-
-def test_backend_registry_reuses_pools():
-    shutdown_backends()
-    assert get_backend(2) is get_backend(2)
-    assert get_backend(2) is not get_backend(4)
-    shutdown_backends()
-
-
-def test_serial_backend_for_one_worker():
-    assert isinstance(get_backend(1), SerialBackend)
-    assert isinstance(get_backend(0), SerialBackend)
-
-
-@pytest.mark.parametrize("count", (0, 1, 5, 17, 64))
-@pytest.mark.parametrize("parts", (1, 3, 8))
-def test_partition_ranges_cover_every_index_once(count, parts):
-    """Probe chunks: contiguous, in order, every outer row exactly once,
-    at most ``parts`` of them and balanced to within one row."""
-    ranges = partition_ranges(count, parts)
-    covered = [index for lo, hi in ranges for index in range(lo, hi)]
-    assert covered == list(range(count))
-    assert len(ranges) <= parts
-    sizes = [hi - lo for lo, hi in ranges]
-    assert max(sizes) - min(sizes) <= 1

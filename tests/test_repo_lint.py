@@ -256,7 +256,7 @@ def test_flags_hash_build_inside_loop(tmp_path):
     write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
     write(
         tmp_path,
-        "engine/parallel.py",
+        "engine/fuse.py",
         """
         def probe_batches(batches, node, program, ctx):
             for batch in batches:

@@ -334,7 +334,7 @@ def test_pipeline_counters_bit_identical_to_engine(mode, handle):
     live engine costs (the tests' reference read path)."""
     from repro.sql import parse_statement
 
-    db = Database(exec_mode=mode, workers=2)
+    db = Database(exec_mode=mode)
     db.execute("CREATE TABLE E (A INTEGER, B INTEGER)")
     db.execute("CREATE INDEX EA ON E (A)")
     values = ", ".join(f"({i % 17}, {i})" for i in range(120))
