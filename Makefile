@@ -10,12 +10,13 @@ export PYTHONPATH := src
 check: lint verify test
 
 # ruff/mypy are optional in minimal environments; the ast-based project
-# lint (`repro check --lint`) always runs.
+# lint (`repro check --lint`) always runs.  Without ruff, mutable default
+# arguments (B006) are not checked locally; CI's `check` job runs ruff.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks; \
 	else \
-		echo "ruff not installed; skipping"; \
+		echo "ruff not installed; skipping: mutable defaults (B006) go unchecked"; \
 	fi
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy; \

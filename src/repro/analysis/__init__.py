@@ -13,9 +13,9 @@ project's own:
   quantities and checks the cost model's algebraic invariants, including
   an audit of the DP search's pruning decisions.
 - :mod:`repro.analysis.lint` is a custom ``ast``-based pass enforcing
-  project rules over ``src/repro`` (no float ``==`` in cost code, no
-  mutable default arguments, counters mutated only inside ``rss/``,
-  exhaustive plan-node dispatch in every plan walker).
+  project rules over ``src/repro`` (no float ``==`` in cost code,
+  counters mutated only inside ``rss/``, no swallowed exceptions in
+  ``rss/``, exhaustive plan-node dispatch in every plan walker).
 - :mod:`repro.analysis.storage_check` audits the storage invariants
   (index/tuple agreement, page reachability, checksums) across durable,
   torn-page and crash/recover scenarios.

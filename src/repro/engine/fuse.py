@@ -642,8 +642,9 @@ def _hash_prober(node: NestedLoopJoinNode, program: _ScanProgram):
     a join whose outer yields nothing decodes no inner page.  Each probe
     is then a bucket lookup that reproduces one serial inner scan's cost
     trace exactly: it charges one RSI call per SARG-matched tuple and
-    replays ``BufferPool.fetch`` over every inner page in segment order,
-    as the rescan would have fetched them.  The match loop has no counter
+    replays ``BufferPool.note_fetch`` over every inner page in segment
+    order, as the rescan would have fetched them, without resolving the
+    pages it does not read.  The match loop has no counter
     effects (no subqueries), so the trace is the serial one.
     """
     inner = node.inner
@@ -662,7 +663,7 @@ def _hash_prober(node: NestedLoopJoinNode, program: _ScanProgram):
     def open_probe(ctx: ExecContext):
         storage = ctx.storage
         count_rsi = storage.counters.count_rsi_call
-        fetch = storage.buffer.fetch
+        note_fetch = storage.buffer.note_fetch
         buckets: dict[tuple, list] | None = None
         inner_pages: tuple[int, ...] = ()
         no_match: list = []
@@ -681,7 +682,7 @@ def _hash_prober(node: NestedLoopJoinNode, program: _ScanProgram):
                     matched = [item for item in matched if rest(item[1])]
             count_rsi(len(matched))
             for page_id in inner_pages:
-                fetch(page_id)
+                note_fetch(page_id)
             return (matched,)
 
         return probe

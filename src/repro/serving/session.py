@@ -50,6 +50,7 @@ class SnapshotStorage(ScanSurface):
         self.allocate_data_page = engine.store.allocate_data_page
         self.free = engine.store.free
         self.invalidate = engine.buffer.invalidate
+        self.note_fetch = engine.buffer.note_fetch
         self._meta = meta
         self._segments: dict[str, Segment] = {}
         self._btrees: dict[str, BTree] = {}

@@ -45,14 +45,14 @@ def test_cli_dispatches_check(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_lint_fails_on_seeded_mutable_default(tmp_path, capsys, monkeypatch):
+def test_lint_fails_on_seeded_counter_mutation(tmp_path, capsys, monkeypatch):
     write(tmp_path, "pkg/optimizer/plan.py", "class PlanNode:\n    pass\n")
     write(
         tmp_path,
-        "pkg/engine/util.py",
+        "pkg/engine/sneaky.py",
         """
-        def collect(into=[]):
-            return into
+        def bump(counters):
+            counters.rsi_calls += 1
         """,
     )
     monkeypatch.setattr(
@@ -61,7 +61,7 @@ def test_lint_fails_on_seeded_mutable_default(tmp_path, capsys, monkeypatch):
         lambda: check_module.lint_repo(tmp_path / "pkg"),
     )
     assert check_main(["--lint"]) == 1
-    assert "mutable-default" in capsys.readouterr().out
+    assert "counter-mutation" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from repro.optimizer.plan import (
     NestedLoopJoinNode,
     walk_plan,
 )
+from repro.rss.pagestore import PageStore
 from repro.workloads import build_empdept
 from repro.workloads.empdept import load_rows
 
@@ -110,7 +111,7 @@ def test_parallel_preserves_declared_orders(empdept_matrix, sql):
     assert deltas["fused"] == deltas["interp"]
 
 
-#: A nested-loop join whose segment-scan inner DEPT is probed on DNO.
+#: A nested-loop join whose segment-scan inner EMP is probed on DNO.
 STAR_JOIN = (
     "SELECT NAME, DNAME FROM EMP, DEPT "
     "WHERE EMP.DNO = DEPT.DNO AND SAL > 300"
@@ -140,6 +141,42 @@ def test_parallel_star_join_uses_the_hash_exchange(monkeypatch, empdept_matrix):
     assert deltas["fused"] == deltas["interp"]
     assert rows["fused"], "the star probe query must return rows to mean anything"
     assert len(built) == 1, "the fused run hashes DEPT once; interp never"
+
+
+def test_hash_probe_replay_counts_without_resolving(monkeypatch, empdept_matrix):
+    """Through a session every read resolves pages as of its pin; the
+    probe's fetch replay only counts, so each inner page is resolved once
+    (by the bucket build), however many outer rows probe it."""
+    fused = empdept_matrix["fused"]
+    (join,) = [
+        node
+        for node in walk_plan(fused.plan(STAR_JOIN).root)
+        if isinstance(node, NestedLoopJoinNode)
+    ]
+    inner_pages = fused.storage.segment(join.inner.table.segment_name).page_ids
+    resolved: list[int] = []
+    resolve = PageStore.resolve
+
+    def counting(self, page_id, version):
+        resolved.append(page_id)
+        return resolve(self, page_id, version)
+
+    monkeypatch.setattr(PageStore, "resolve", counting)
+    rows = {}
+    deltas = {}
+    inner_resolves = {}
+    for key, db in empdept_matrix.items():
+        db.storage.cold_cache()
+        resolved.clear()
+        before = db.storage.counters.snapshot()
+        with db.session() as session:
+            rows[key] = session.execute(STAR_JOIN).rows
+        deltas[key] = before.delta(db.storage.counters)
+        inner_resolves[key] = sorted(p for p in resolved if p in inner_pages)
+    assert rows["fused"] == rows["interp"]
+    assert deltas["fused"] == deltas["interp"]
+    assert len(rows["fused"]) > 1, "several outer rows must probe the inner"
+    assert inner_resolves["fused"] == sorted(inner_pages)
 
 
 # ---------------------------------------------------------------------------

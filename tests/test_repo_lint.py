@@ -47,21 +47,6 @@ def test_discovers_plan_node_subclasses():
     assert len(names) >= 8
 
 
-def test_flags_mutable_default(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "engine/util.py",
-        """
-        def collect(into=[]):
-            return into
-        """,
-    )
-    violations = by_rule(tmp_path, "mutable-default")
-    assert len(violations) == 1
-    assert "engine/util.py" in violations[0].where
-
-
 def test_flags_float_eq_in_cost_code(tmp_path):
     write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
     write(
@@ -127,204 +112,6 @@ def test_flags_non_exhaustive_walker(tmp_path):
     assert "engine/operators.py" in missing_dispatch[0].where
 
 
-def test_flags_frozenset_in_joinsearch_hot_path(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "optimizer/joins.py",
-        """
-        class JoinSearch:
-            def __init__(self, aliases):
-                self._setup = frozenset(aliases)  # allowed: construction
-
-            def _extend(self, subset, alias):
-                return frozenset(subset) | {alias}
-        """,
-    )
-    violations = by_rule(tmp_path, "joinsearch-hot-path")
-    assert len(violations) == 1
-    assert "_extend" in violations[0].message
-
-
-def test_flags_catalog_lookup_in_joinsearch_hot_path(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "optimizer/joins.py",
-        """
-        class JoinSearch:
-            def __init__(self, catalog):
-                self._stats = catalog.relation_stats("T")  # allowed
-
-            def _subset_rows(self, catalog, mask):
-                return catalog.relation_stats("T").ncard
-        """,
-    )
-    violations = by_rule(tmp_path, "joinsearch-hot-path")
-    assert len(violations) == 1
-    assert "relation_stats" in violations[0].message
-    assert "_subset_rows" in violations[0].message
-
-
-def test_joinsearch_rule_ignores_other_classes(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "optimizer/joins.py",
-        """
-        class Helper:
-            def anywhere(self, catalog):
-                return catalog.index_stats("I")
-        """,
-    )
-    assert by_rule(tmp_path, "joinsearch-hot-path") == []
-
-
-def test_flags_interpreter_call_in_executor_loop(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "engine/operators.py",
-        """
-        def iterate(node):
-            if isinstance(node, AlphaNode):  # dispatch outside loops: fine
-                return []
-            if isinstance(node, BetaNode):
-                return []
-
-        def _iter_filter(rows, predicate, runtime):
-            for row in rows:
-                if evaluate(predicate, row):
-                    yield row
-        """,
-    )
-    violations = by_rule(tmp_path, "executor-hot-path")
-    assert len(violations) == 1
-    assert "evaluate" in violations[0].message
-
-
-def test_flags_evalenv_and_isinstance_in_scan_loop(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "rss/scan.py",
-        """
-        def scan(pages, runtime):
-            for page in pages:
-                assert isinstance(page, Page)  # narrowing assert: exempt
-                env = EvalEnv(row=None, runtime=runtime)
-                if isinstance(page, DataPage):
-                    yield env
-        """,
-    )
-    violations = by_rule(tmp_path, "executor-hot-path")
-    assert len(violations) == 2
-    messages = " ".join(v.message for v in violations)
-    assert "EvalEnv" in messages
-    assert "isinstance" in messages
-
-
-def test_hot_path_rule_covers_temp_and_external_sort(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "engine/temp.py",
-        """
-        def drain(pages, plan):
-            for page in pages:
-                yield decode_tuple(page, plan)
-        """,
-    )
-    write(
-        tmp_path,
-        "engine/external_sort.py",
-        """
-        def spill(rows, key):
-            for row in rows:
-                if predicate_holds(key, row):
-                    yield row
-        """,
-    )
-    violations = by_rule(tmp_path, "executor-hot-path")
-    assert len(violations) == 2
-    wheres = " ".join(v.where for v in violations)
-    assert "engine/temp.py" in wheres
-    assert "engine/external_sort.py" in wheres
-
-
-def test_flags_hash_build_inside_loop(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "engine/fuse.py",
-        """
-        def probe_batches(batches, node, program, ctx):
-            for batch in batches:
-                table = build_hash_table(node, program, ctx, None)
-                yield table
-        """,
-    )
-    violations = by_rule(tmp_path, "executor-hot-path")
-    assert len(violations) == 1
-    assert "build" in violations[0].message
-
-
-def test_flags_hash_join_handoff_in_fused_loop(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "engine/fuse.py",
-        """
-        def driver(batches, node, ctx):
-            for batch in batches:
-                yield list(hash_join_rows(node, ctx, None))
-        """,
-    )
-    violations = by_rule(tmp_path, "executor-hot-path")
-    assert len(violations) == 1
-    assert "hash_join_rows" in violations[0].message
-
-
-def test_flags_isinstance_in_compiled_closure(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "engine/compile.py",
-        """
-        def _compile_like(expr):
-            if isinstance(expr, str):  # compile-time dispatch: fine
-                pattern = expr
-
-            def run(env):
-                operand = env.row
-                if isinstance(operand, str):
-                    return pattern == operand
-                return None
-
-            return run
-        """,
-    )
-    violations = by_rule(tmp_path, "executor-hot-path")
-    assert len(violations) == 1
-    assert "closure" in violations[0].message
-
-
-def test_accepts_compiled_hot_loop(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "engine/operators.py",
-        """
-        def _iter_filter(rows, program, env):
-            for row in rows:
-                env.row = row
-                if program(env) is True:
-                    yield row
-        """,
-    )
-    assert by_rule(tmp_path, "executor-hot-path") == []
-
-
 def test_accepts_exhaustive_walker(tmp_path):
     write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
     write(
@@ -340,6 +127,7 @@ def test_accepts_exhaustive_walker(tmp_path):
     )
     violations = by_rule(tmp_path, "walker-not-exhaustive")
     assert not any("engine/operators.py" in v.where for v in violations)
+
 
 def test_flags_bare_except_in_rss(tmp_path):
     write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
@@ -428,68 +216,6 @@ def test_swallow_rule_only_applies_to_rss(tmp_path):
         """,
     )
     assert by_rule(tmp_path, "no-swallowed-exceptions") == []
-
-
-def test_flags_generator_handoff_in_fused_loop(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "engine/fuse.py",
-        """
-        def _chain_driver(batches, node, ctx):
-            for batch in batches:
-                for row in iterate(node, ctx):
-                    yield row
-        """,
-    )
-    violations = by_rule(tmp_path, "executor-hot-path")
-    assert len(violations) == 1
-    assert "hand-off" in violations[0].message
-    assert "iterate" in violations[0].message
-
-
-def test_flags_iter_operator_handoff_in_fused_loop(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "engine/fuse.py",
-        """
-        def _sort_driver(node, ctx, batches):
-            for batch in batches:
-                rows = _iter_sort(node, ctx)
-                yield rows
-        """,
-    )
-    violations = by_rule(tmp_path, "executor-hot-path")
-    assert len(violations) == 1
-    assert "_iter_sort" in violations[0].message
-
-
-def test_accepts_handoff_outside_fused_loops(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "engine/fuse.py",
-        """
-        def _lazy_rows(node, ctx):
-            return iterate(node, ctx)
-        """,
-    )
-    assert by_rule(tmp_path, "executor-hot-path") == []
-
-
-def test_handoff_rule_only_applies_to_fuse_module(tmp_path):
-    write(tmp_path, "optimizer/plan.py", _FAKE_PLAN)
-    write(
-        tmp_path,
-        "engine/other.py",
-        """
-        def drain(nodes, ctx):
-            for node in nodes:
-                yield list(iterate(node, ctx))
-        """,
-    )
-    assert by_rule(tmp_path, "executor-hot-path") == []
 
 
 def test_fused_build_is_a_registered_walker(tmp_path):
