@@ -89,6 +89,16 @@ def _check_exec_mode(mode: str | None) -> str | None:
     return mode
 
 
+def _check_buffer_pages(pages: int) -> int:
+    # The optimizer's buffer-fit tests and merge fan-in read it as a
+    # whole number of pages.
+    if type(pages) is not int or pages < 1:
+        raise ValueError(
+            f"bad buffer_pages {pages!r}: expected a positive integer"
+        )
+    return pages
+
+
 def _check_workers(workers: int | None) -> int | None:
     if workers is not None and (type(workers) is not int or workers < 1):
         raise ValueError(
@@ -115,6 +125,7 @@ class Database:
         # Validated eagerly: a bad setting fails at construction, not at
         # the first SELECT after DDL and INSERTs have already run.  The
         # property setters run the same checks.
+        _check_buffer_pages(buffer_pages)
         _check_w(w)
         _check_cache_mode(subquery_cache_mode)
         _check_exec_mode(exec_mode)

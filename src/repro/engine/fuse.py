@@ -69,7 +69,8 @@ from ..optimizer.plan import (
     ScanNode,
     SortNode,
 )
-from ..rss.sargs import CompareOp, SargProgram, sarg_program
+from ..optimizer.predicates import SargExpression
+from ..rss.sargs import CompareOp, SargProgram, TupleMatcher, sarg_program
 from ..rss.scan import page_rows
 from ..rss.storage import ScanSnapshot
 from ..rss.tuples import DecodePlan
@@ -86,6 +87,7 @@ from .operators import (
     _build_project,
     _build_scan,
     _HashJoinProgram,
+    _local_aliases,
     _program,
     _ScanProgram,
     aggregate_rows,
@@ -571,46 +573,80 @@ def _probe_exprs(node: NestedLoopJoinNode) -> list:
     return exprs
 
 
-def _probe_keys(
-    program: _ScanProgram,
-) -> tuple[tuple[int, ...], tuple, SargProgram, tuple]:
-    """Split SARG parts into hash-key equality conjuncts and the rest.
+def _reads_outer_row(expression: SargExpression, aliases: set[str]) -> bool:
+    """True when a SARG part's values read a column of the join's outer
+    row; otherwise they are constants or outer-block references, fixed
+    for one driver call."""
+    return any(
+        type(node) is BoundColumn and node.alias in aliases
+        for group in expression.groups
+        for pred in group
+        for node in ast.walk_expr(pred.value)
+    )
 
-    A part whose DNF is a single group of all-equality predicates is a
-    conjunction of ``column = probe-value`` terms: its column positions
-    become hash-key components and its value closures compute the probe
-    key.  Remaining parts form a shape of their own, whose program each
-    probe binds into a matcher over its bucket.
+
+def _probe_keys(
+    node: NestedLoopJoinNode, program: _ScanProgram
+) -> tuple[tuple[int, ...], tuple, SargProgram, tuple, SargProgram, tuple] | None:
+    """Split SARG parts into fixed parts, hash-key conjuncts and the rest.
+
+    A part whose values read nothing of the outer row is *fixed*: it binds
+    once per driver call and filters the rows before they are hashed.  A
+    row-bound part whose DNF is a single group of all-equality predicates
+    is a conjunction of ``column = probe-value`` terms: its column
+    positions become hash-key components and its value closures compute
+    the probe key.  Remaining parts form a shape of their own, whose
+    program each probe binds into a matcher over its bucket.  ``None``
+    when no part is an all-equality conjunction (ineligible).
     """
+    outer_aliases = set(_local_aliases(node.outer))
+    hashable = False
     key_positions: list[int] = []
     key_value_fns: list = []
+    fixed_shape: list = []
+    fixed_value_fns: list = []
     rest_shape: list = []
     rest_value_fns: list = []
     values = iter(program.sarg_values)
-    for part in program.sarg_shape:
+    for part, expression in zip(program.sarg_shape, node.inner.sargs):
         fns = [next(values) for group in part for __ in group]
-        if len(part) == 1 and all(op is CompareOp.EQ for __, op, ___ in part[0]):
+        equality = len(part) == 1 and all(
+            op is CompareOp.EQ for __, op, ___ in part[0]
+        )
+        hashable = hashable or (equality and bool(part[0]))
+        if not _reads_outer_row(expression, outer_aliases):
+            fixed_shape.append(part)
+            fixed_value_fns.extend(fns)
+        elif equality:
             key_positions.extend(position for position, __, ___ in part[0])
             key_value_fns.extend(fns)
         else:
             rest_shape.append(part)
             rest_value_fns.extend(fns)
+    if not hashable:
+        return None
     return (
         tuple(key_positions),
         tuple(key_value_fns),
+        sarg_program(tuple(fixed_shape)),
+        tuple(fixed_value_fns),
         sarg_program(tuple(rest_shape)),
         tuple(rest_value_fns),
     )
 
 
 def _build_buckets(
-    snapshot: ScanSnapshot, plan: DecodePlan, key_positions: tuple[int, ...]
+    snapshot: ScanSnapshot,
+    plan: DecodePlan,
+    key_positions: tuple[int, ...],
+    keep: TupleMatcher | None,
 ) -> dict[tuple, list]:
     """Hash the frozen inner relation by its probe-key columns.
 
     Read from the page-store snapshot (no counter effects) in (page, slot)
-    order, so every bucket keeps the serial scan order.  Rows with a NULL
-    key component are left out: SQL equality never matches NULL, exactly
+    order, so every bucket keeps the serial scan order.  Rows ``keep``
+    (the fixed SARG parts' matcher) rejects are left out, and so are rows
+    with a NULL key component: SQL equality never matches NULL, exactly
     as the serial matcher rejects every tuple for a NULL probe value.
     """
     buckets: dict[tuple, list] = {}
@@ -619,6 +655,8 @@ def _build_buckets(
     for page_id in snapshot.page_ids:
         for item in page_rows(page_id, get_page(page_id), relation_id, plan):
             values = item[1]
+            if keep is not None and not keep(values):
+                continue
             key = tuple([values[position] for position in key_positions])
             if None in key:
                 continue
@@ -639,7 +677,9 @@ def _hash_prober(node: NestedLoopJoinNode, program: _ScanProgram):
     descent and per-entry data-page fetches *are* its cost trace.
 
     The inner relation is hashed on the first probe of a driver call, so
-    a join whose outer yields nothing decodes no inner page.  Each probe
+    a join whose outer yields nothing decodes no inner page.  Only rows
+    the fixed SARG parts (constants, outer-block references) match are
+    hashed, keyed on the parts bound to the outer row.  Each probe
     is then a bucket lookup that reproduces one serial inner scan's cost
     trace exactly: it charges one RSI call per SARG-matched tuple and
     replays ``BufferPool.note_fetch`` over every inner page in segment
@@ -652,11 +692,17 @@ def _hash_prober(node: NestedLoopJoinNode, program: _ScanProgram):
         _probe_exprs(node)
     ):
         return None
-    key_positions, key_value_fns, rest_program, rest_value_fns = _probe_keys(
-        program
-    )
-    if not key_positions:
+    split = _probe_keys(node, program)
+    if split is None:
         return None
+    (
+        key_positions,
+        key_value_fns,
+        fixed_program,
+        fixed_value_fns,
+        rest_program,
+        rest_value_fns,
+    ) = split
     table = inner.table
     plan = program.decode_plan
 
@@ -673,7 +719,8 @@ def _hash_prober(node: NestedLoopJoinNode, program: _ScanProgram):
             if buckets is None:
                 snapshot = storage.scan_snapshot(table)
                 inner_pages = snapshot.page_ids
-                buckets = _build_buckets(snapshot, plan, key_positions)
+                keep = fixed_program.bind([fn(env) for fn in fixed_value_fns])
+                buckets = _build_buckets(snapshot, plan, key_positions, keep)
             key = tuple([fn(env) for fn in key_value_fns])
             matched = no_match if None in key else buckets.get(key, no_match)
             if matched and rest_value_fns:

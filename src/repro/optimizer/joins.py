@@ -28,18 +28,26 @@ connectivity is a per-alias adjacency mask (``_connects`` is one AND),
 and factor applicability is a subset test on precomputed factor masks.
 Derived quantities the seed enumerator recomputed per candidate —
 subset cardinalities, composite tuple widths, factor selectivities,
-canonical order keys, and inner-relation access path enumerations — are
-memoized, so the per-extension constant factor stays close to the cost
-arithmetic itself (the paper's "a few thousand instructions" claim,
-Section 8).  ``aliases_of``/``mask_of`` translate at the boundary for
-audits and rendering.
+canonical order keys, and inner-relation access path enumerations (keyed
+by the inner's buffer-fit level, ``_fit_level``) — are memoized, so the
+per-extension constant factor stays close to the cost arithmetic itself
+(the paper's "a few thousand instructions" claim, Section 8).
+``aliases_of``/``mask_of`` translate at the boundary for audits and
+rendering.
+
+Admit, then build: an extension computes each candidate's pages and RSI
+calls as floats, in the order ``Cost.__add__`` and ``nested_loop_cost``
+use, so its total is the built plan's to the bit.  ``_admit`` settles
+every counter and prune on that total, and only a candidate it admits
+gets its ``Cost``, its join node and any sort node on a merge input.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from ..catalog.catalog import Catalog
 from ..errors import PlannerError
@@ -51,7 +59,7 @@ from .access_paths import (
     probe_factor,
 )
 from .bound import BoundColumn, BoundQueryBlock
-from .cost import Cost, CostModel, ZERO_COST, tuple_byte_width
+from .cost import Cost, CostModel, tuple_byte_width
 from .orders import InterestingOrders, OrderKey, UNORDERED
 from .plan import (
     HashJoinNode,
@@ -71,6 +79,8 @@ class JoinEntry:
 
     plan: PlanNode
     order_key: OrderKey
+    #: The plan's weighted total, ``CostModel.total(plan.cost)``.
+    total: float
 
     @property
     def cost(self) -> Cost:
@@ -230,13 +240,16 @@ class JoinSearch:
         self._composite_bytes_cache: dict[int, int] = {}
         self._plain_paths: list[list[PathCandidate]] = [[] for __ in range(count)]
         self._merge_side: dict[int, tuple[PathCandidate, Cost, float]] = {}
+        # Sorted buffer-fit thresholds per alias, built on first use by
+        # ``_fit_level``.
+        self._fit_thresholds: list[list[float] | None] = [None] * count
         self._inner_paths: dict[
-            tuple[int, tuple[int, ...], float],
+            tuple[int, tuple[int, ...], int],
             list[tuple[PathCandidate, float | None]],
         ] = {}
         self._cheapest_inner: dict[
-            tuple[int, tuple[int, ...], float, float],
-            tuple[PathCandidate, float | None],
+            tuple[int, tuple[int, ...], int, float],
+            tuple[PathCandidate, float | None, float, float],
         ] = {}
         #: Non-final candidates with a total above this are dropped.
         self._bound = math.inf
@@ -289,9 +302,7 @@ class JoinSearch:
             for mask, entries in self.best.items():
                 for key, entry in entries.items():
                     if entry is not None:
-                        self.stats.survivor_totals[(mask, key)] = (
-                            self._cost.total(entry.cost)
-                        )
+                        self.stats.survivor_totals[(mask, key)] = entry.total
         return solutions
 
     def _expand_all(self) -> None:
@@ -373,7 +384,7 @@ class JoinSearch:
 
     def cheapest(self, solutions: dict[OrderKey, JoinEntry]) -> JoinEntry:
         """The minimum-total entry of a solution set."""
-        return min(solutions.values(), key=lambda e: self._cost.total(e.cost))
+        return min(solutions.values(), key=_total)
 
     def total_entries(self) -> int:
         """Entries stored across all subsets (the 2^n-bound metric)."""
@@ -398,8 +409,12 @@ class JoinSearch:
         for factor in self._local[alias]:
             rows *= self._factor_selectivity(factor)
         self._alias_rows[position] = rows
+        mask = 1 << position
         for candidate in candidates:
-            self._record(1 << position, candidate.node, candidate.order_key)
+            key = self._canonical(candidate.order_key)
+            total = self._cost.total(candidate.node.cost)
+            if self._admit(mask, key, total):
+                self.best[mask][key] = JoinEntry(candidate.node, key, total)
 
     def _candidate_extensions(self, mask: int) -> list[int]:
         remaining_mask = self._full_mask & ~mask
@@ -495,84 +510,113 @@ class JoinSearch:
         extra_residual: list[ast.Expr],
     ) -> None:
         alias = self._aliases[position]
-        probes: list[BooleanFactor] = []
-        join_residual: list[ast.Expr] = []
-        for factor in connecting:
-            sarg = join_factor_as_sarg(factor, alias)
-            if sarg is not None:
-                probes.append(probe_factor(factor, sarg))
-            else:
-                join_residual.append(factor.expr)
         probe_ids = tuple(id(factor) for factor in connecting)
+        w = self._cost.w
         for key, entry in list(self.best[mask].items()):
             if entry is None:
                 self._table(new_mask).setdefault(key, None)
                 continue
+            outer = entry.plan
             # Buffer pages left for the inner depend on how much of the
             # pool the outer pipeline (including prior resident inners)
             # already claims.
-            available = self._cost.inner_available_buffer(
-                entry.plan.buffer_claim
-            )
-            entry_rows = entry.rows
-            inner, cap = self._cheapest_inner_for(
-                position, probe_ids, probes, available, entry_rows
+            available = self._cost.inner_available_buffer(outer.buffer_claim)
+            inner, cap, inner_pages, inner_rsi = self._cheapest_inner_for(
+                position, connecting, probe_ids, available, outer.rows
             )
             self.stats.plans_considered += 1
-            cost = self._cost.nested_loop_cost(
-                entry.cost, entry_rows, inner.node.cost, cap
+            # ``nested_loop_cost``: the outer's cost plus N probes.
+            pages = outer.cost.pages + inner_pages
+            rsi = outer.cost.rsi + inner_rsi
+            total = pages + w * rsi
+            self._check_monotone("nested-loop", outer, pages, rsi)
+            if not self._admit(new_mask, key, total):
+                continue
+            join_residual = [
+                factor.expr
+                for factor in connecting
+                if join_factor_as_sarg(factor, alias) is None
+            ]
+            self.best[new_mask][key] = JoinEntry(
+                NestedLoopJoinNode(
+                    outer=outer,
+                    inner=inner.node,
+                    residual=join_residual + extra_residual,
+                    cost=Cost(pages, rsi),
+                    rows=rows_out,
+                    order_columns=outer.order_columns,
+                    buffer_claim=outer.buffer_claim
+                    + (cap if cap is not None else 2.0),
+                ),
+                key,
+                total,
             )
-            self._check_monotone("nested-loop", entry.plan, cost)
-            node = NestedLoopJoinNode(
-                outer=entry.plan,
-                inner=inner.node,
-                residual=join_residual + extra_residual,
-                cost=cost,
-                rows=rows_out,
-                order_columns=entry.plan.order_columns,
-                buffer_claim=entry.plan.buffer_claim
-                + (cap if cap is not None else 2.0),
+
+    def _fit_level(self, position: int, available: float) -> int:
+        """How many of the alias's buffer-fit thresholds ``available``
+        reaches: its footprints with the segment (TCARD/P) and with each
+        index (TCARD + NINDX), as ``relation_resident_pages`` gives them.
+
+        ``enumerate_paths`` (through ``_relation_fits_in_buffer``) and
+        ``inner_resident_cap`` read the inner's available buffer only in
+        ``footprint <= available`` tests against exactly these footprints,
+        so two buffers at one level cost every inner path alike.
+        """
+        thresholds = self._fit_thresholds[position]
+        if thresholds is None:
+            table = self._tables[position]
+            thresholds = self._fit_thresholds[position] = sorted(
+                self._cost.relation_resident_pages(table, index)
+                for index in [None, *self._catalog.indexes_on(table.name)]
             )
-            self._record(new_mask, node, entry.order_key)
+        return bisect_right(thresholds, available)
 
     def _cheapest_inner_for(
         self,
         position: int,
+        connecting: list[BooleanFactor],
         probe_ids: tuple[int, ...],
-        probes: list[BooleanFactor],
         available: float,
         outer_rows: float,
-    ) -> tuple[PathCandidate, float | None]:
+    ) -> tuple[PathCandidate, float | None, float, float]:
         """The inner path (with its cap) cheapest under ``outer_rows``
-        probes, memoized: the choice depends on nothing else."""
-        key = (position, probe_ids, available, outer_rows)
+        probes, and the pages and RSI calls those probes add, memoized: the
+        choice depends on nothing else."""
+        key = (position, probe_ids, self._fit_level(position, available), outer_rows)
         cached = self._cheapest_inner.get(key)
         if cached is None:
+            # ``nested_loop_cost`` over the probes alone, as floats.
+            probes = max(0.0, outer_rows)
+            options: list[tuple[PathCandidate, float | None, float, float]] = []
+            for candidate, cap in self._inner_candidates(
+                position, connecting, probe_ids, available
+            ):
+                cost = candidate.node.cost
+                pages = cost.pages * probes
+                if cap is not None:
+                    pages = min(pages, cap)
+                options.append((candidate, cap, pages, cost.rsi * probes))
+            w = self._cost.w
             cached = self._cheapest_inner[key] = min(
-                self._inner_candidates(position, probe_ids, probes, available),
-                key=lambda pair: self._cost.total(
-                    self._cost.nested_loop_cost(
-                        ZERO_COST, outer_rows, pair[0].node.cost, pair[1]
-                    )
-                ),
+                options, key=lambda option: option[2] + w * option[3]
             )
         return cached
 
     def _inner_candidates(
         self,
         position: int,
+        connecting: list[BooleanFactor],
         probe_ids: tuple[int, ...],
-        probes: list[BooleanFactor],
         available: float,
     ) -> list[tuple[PathCandidate, float | None]]:
         """Costed inner paths with their resident caps, memoized.
 
-        Many outer entries share one buffer claim, and many subsets share
-        one connecting-factor set: the (alias, probes, buffer) triple
-        fully determines the candidate list, so the seed's per-entry
-        ``enumerate_paths`` call collapses into a dict hit.
+        Many outer entries share one buffer fit level, and many subsets
+        share one connecting-factor set: the (alias, probes, fit level)
+        triple fully determines the candidate list, so the seed's
+        per-entry ``enumerate_paths`` call collapses into a dict hit.
         """
-        key = (position, probe_ids, available)
+        key = (position, probe_ids, self._fit_level(position, available))
         cached = self._inner_paths.get(key)
         if cached is None:
             alias = self._aliases[position]
@@ -584,7 +628,11 @@ class JoinSearch:
                 self._estimator,
                 self._cost,
                 self._orders,
-                probe_factors=probes,
+                probe_factors=[
+                    probe_factor(factor, sarg)
+                    for factor in connecting
+                    if (sarg := join_factor_as_sarg(factor, alias)) is not None
+                ],
                 available_buffer=available,
             )
             cached = self._inner_paths[key] = [
@@ -615,50 +663,57 @@ class JoinSearch:
         alias = self._aliases[position]
         inner_rows = self._alias_rows[position]
         entries = _live(self.best[mask])
-        cheapest_outer = min(entries, key=lambda e: self._cost.total(e.cost))
+        cheapest_outer = min(entries, key=_total)
+        w = self._cost.w
         for merge_factor in equijoins:
             join = merge_factor.join
             assert join is not None
             inner_column = join.column_for(alias)
             outer_column = join.other_column(alias)
             merge_class = self._orders.class_of_column(inner_column)
+            key = self._canonical((merge_class,))
             matches = self._merge_matches(mask, position, merge_factor)
-            residual = [
-                f.expr for f in equijoins if f is not merge_factor
-            ] + [
-                f.expr
-                for f in connecting
-                if f.join is not None and not f.join.is_equijoin
-            ] + extra_residual
-
             inner_options = self._merge_inner_options(
                 position, inner_column, merge_class, inner_rows, matches
             )
             outer_options = self._merge_outer_options(
                 mask, entries, cheapest_outer, outer_column, merge_class
             )
-            for outer_plan, outer_key in outer_options:
-                for inner_plan, inner_cost in inner_options:
+            for outer in outer_options:
+                for inner in inner_options:
                     self.stats.plans_considered += 1
-                    cost = outer_plan.cost + inner_cost
-                    self._check_monotone("merge", outer_plan, cost)
-                    order_columns = (
-                        (outer_column.alias, outer_column.position),
-                    )
-                    node = MergeJoinNode(
-                        outer=outer_plan,
-                        inner=inner_plan,
-                        outer_column=outer_column,
-                        inner_column=inner_column,
-                        residual=residual,
-                        cost=cost,
-                        rows=rows_out,
-                        order_columns=order_columns,
-                        buffer_claim=outer_plan.buffer_claim
-                        + inner_plan.buffer_claim,
-                    )
-                    self._record(
-                        new_mask, node, self._canonical((merge_class,))
+                    pages = outer.cost.pages + inner.cost.pages
+                    rsi = outer.cost.rsi + inner.cost.rsi
+                    total = pages + w * rsi
+                    self._check_monotone("merge", outer, pages, rsi)
+                    if not self._admit(new_mask, key, total):
+                        continue
+                    residual = [
+                        f.expr for f in equijoins if f is not merge_factor
+                    ] + [
+                        f.expr
+                        for f in connecting
+                        if f.join is not None and not f.join.is_equijoin
+                    ] + extra_residual
+                    outer_plan = outer.build()
+                    inner_plan = inner.build()
+                    self.best[new_mask][key] = JoinEntry(
+                        MergeJoinNode(
+                            outer=outer_plan,
+                            inner=inner_plan,
+                            outer_column=outer_column,
+                            inner_column=inner_column,
+                            residual=residual,
+                            cost=Cost(pages, rsi),
+                            rows=rows_out,
+                            order_columns=(
+                                (outer_column.alias, outer_column.position),
+                            ),
+                            buffer_claim=outer_plan.buffer_claim
+                            + inner_plan.buffer_claim,
+                        ),
+                        key,
+                        total,
                     )
 
     def _merge_inner_side(
@@ -688,35 +743,36 @@ class JoinSearch:
         merge_class: int,
         inner_rows: float,
         matches: float,
-    ) -> list[tuple[PlanNode, Cost]]:
+    ) -> list[_MergeInput]:
         """Ways to present the inner relation in join-column order.
 
         Either an index path already ordered on the merge class, or the
-        cheapest path sorted into a temporary list.  The returned cost is
+        cheapest path sorted into a temporary list.  The option's cost is
         the *total* inner-side contribution: one ordered pass plus the RSI
         traffic of emitting matches (group re-reads included).
         """
-        options: list[tuple[PlanNode, Cost]] = []
+        options: list[_MergeInput] = []
         for candidate in self._plain_paths[position]:
             if candidate.order_key[:1] == (merge_class,):
-                inner_cost = Cost(
+                cost = Cost(
                     pages=candidate.node.cost.pages,
                     rsi=max(candidate.node.cost.rsi, matches),
                 )
-                options.append((candidate.node, inner_cost))
+                options.append(
+                    _MergeInput(cost, self._cost.total(cost), candidate.node)
+                )
         cheapest, build, temp_pages = self._merge_inner_side(position)
         sort_total = build + Cost(pages=temp_pages, rsi=max(inner_rows, matches))
-        sort_node = SortNode(
-            child=cheapest.node,
-            keys=[(inner_column, False)],
-            cost=sort_total,
-            rows=cheapest.node.rows,
-            order_columns=((inner_column.alias, inner_column.position),),
+        self._check_monotone(
+            "sorted-inner", cheapest.node, sort_total.pages, sort_total.rsi
         )
-        self._check_monotone("sorted-inner", cheapest.node, sort_total)
-        options.append((sort_node, sort_total))
+        options.append(
+            _MergeInput(
+                sort_total, self._cost.total(sort_total), cheapest.node, inner_column
+            )
+        )
         # Keep at most the two cheapest inner options; more never win.
-        options.sort(key=lambda pair: self._cost.total(pair[1]))
+        options.sort(key=_total)
         return options[:2]
 
     def _merge_outer_options(
@@ -726,27 +782,26 @@ class JoinSearch:
         cheapest: JoinEntry,
         outer_column: BoundColumn,
         merge_class: int,
-    ) -> list[tuple[PlanNode, OrderKey]]:
+    ) -> list[_MergeInput]:
         """Outer sides ordered on the merge class: reuse an order or sort."""
-        options: list[tuple[PlanNode, OrderKey]] = []
+        options: list[_MergeInput] = []
         for entry in entries:
             if entry.order_key[:1] == (merge_class,):
-                options.append((entry.plan, entry.order_key))
+                options.append(_MergeInput(entry.cost, entry.total, entry.plan))
         outer_bytes = self._composite_bytes(mask)
         build = self._cost.sort_build_cost(
             cheapest.cost, cheapest.rows, outer_bytes
         )
-        read_back = self._cost.temp_scan_cost(cheapest.rows, outer_bytes)
-        sort_node = SortNode(
-            child=cheapest.plan,
-            keys=[(outer_column, False)],
-            cost=build + read_back,
-            rows=cheapest.rows,
-            order_columns=((outer_column.alias, outer_column.position),),
+        sort_cost = build + self._cost.temp_scan_cost(cheapest.rows, outer_bytes)
+        self._check_monotone(
+            "sorted-outer", cheapest.plan, sort_cost.pages, sort_cost.rsi
         )
-        self._check_monotone("sorted-outer", cheapest.plan, sort_node.cost)
-        options.append((sort_node, self._canonical((merge_class,))))
-        options.sort(key=lambda pair: self._cost.total(pair[0].cost))
+        options.append(
+            _MergeInput(
+                sort_cost, self._cost.total(sort_cost), cheapest.plan, outer_column
+            )
+        )
+        options.sort(key=_total)
         return options[:2]
 
     # -- hash join --------------------------------------------------------------------
@@ -781,7 +836,6 @@ class JoinSearch:
         probe_rows = self._subset_rows(mask)
         if build_rows > probe_rows:
             return
-        entries = _live(self.best[mask])
         build = min(
             (
                 candidate
@@ -790,19 +844,10 @@ class JoinSearch:
             ),
             key=lambda c: self._cost.total(c.node.cost),
         )
-        keys: list[tuple[BoundColumn, BoundColumn]] = []
         matches = probe_rows * build_rows
         for factor in equijoins:
-            join = factor.join
-            assert join is not None
-            keys.append((join.other_column(alias), join.column_for(alias)))
             matches *= self._factor_selectivity(factor)
-        residual = [
-            f.expr
-            for f in connecting
-            if f.join is None or not f.join.is_equijoin
-        ] + extra_residual
-        outer = min(entries, key=lambda e: self._cost.total(e.cost))
+        outer = min(_live(self.best[mask]), key=_total)
         available = self._cost.inner_available_buffer(outer.plan.buffer_claim)
         inner_bytes = self._alias_bytes[position]
         self.stats.plans_considered += 1
@@ -816,21 +861,38 @@ class JoinSearch:
             inner_bytes,
             available_buffer=available,
         )
-        self._check_monotone("hash", outer.plan, cost)
+        self._check_monotone("hash", outer.plan, cost.pages, cost.rsi)
+        total = self._cost.total(cost)
+        if not self._admit(new_mask, UNORDERED, total):
+            return
+        keys: list[tuple[BoundColumn, BoundColumn]] = []
+        for factor in equijoins:
+            join = factor.join
+            assert join is not None
+            keys.append((join.other_column(alias), join.column_for(alias)))
+        residual = [
+            f.expr
+            for f in connecting
+            if f.join is None or not f.join.is_equijoin
+        ] + extra_residual
         build_pages = self._cost.temp_pages(build_rows, inner_bytes)
-        node = HashJoinNode(
-            outer=outer.plan,
-            inner=build.node,
-            keys=keys,
-            residual=residual,
-            matches=matches,
-            partitions=partitions,
-            cost=cost,
-            rows=rows_out,
-            order_columns=(),
-            buffer_claim=outer.plan.buffer_claim + min(build_pages, available),
+        self.best[new_mask][UNORDERED] = JoinEntry(
+            HashJoinNode(
+                outer=outer.plan,
+                inner=build.node,
+                keys=keys,
+                residual=residual,
+                matches=matches,
+                partitions=partitions,
+                cost=cost,
+                rows=rows_out,
+                order_columns=(),
+                buffer_claim=outer.plan.buffer_claim
+                + min(build_pages, available),
+            ),
+            UNORDERED,
+            total,
         )
-        self._record(new_mask, node, UNORDERED)
 
     # -- estimates --------------------------------------------------------------------
 
@@ -889,10 +951,13 @@ class JoinSearch:
             return UNORDERED
         return self._orders.canonicalize(order)
 
-    def _check_monotone(self, method: str, outer: PlanNode, cost: Cost) -> None:
+    def _check_monotone(
+        self, method: str, outer: PlanNode | _MergeInput, pages: float, rsi: float
+    ) -> None:
         """Under ``record_prunes``: an extension never costs less than its
-        outer input, the premise that makes the bound exact."""
-        if self._record_prunes and self._cost.total(cost) < self._cost.total(
+        outer input, the premise that makes the bound exact.  Every
+        candidate is checked, built or not."""
+        if self._record_prunes and pages + self._cost.w * rsi < self._cost.total(
             outer.cost
         ):
             # Imported lazily: the analysis package imports the optimizer.
@@ -903,8 +968,8 @@ class JoinSearch:
                     Violation(
                         "extension-not-monotone",
                         outer.label(),
-                        f"{method} extension costs {cost}, below its outer "
-                        f"input's {outer.cost}",
+                        f"{method} extension costs {Cost(pages, rsi)}, below "
+                        f"its outer input's {outer.cost}",
                     )
                 ]
             )
@@ -916,36 +981,77 @@ class JoinSearch:
             self._masks_by_size[mask.bit_count()].append(mask)
         return table
 
-    def _record(self, mask: int, plan: PlanNode, order_key: OrderKey) -> None:
-        key = self._canonical(order_key)
+    def _admit(self, mask: int, key: OrderKey, total: float) -> bool:
+        """Count one candidate for (``mask``, ``key``) and decide, from its
+        total alone, whether it becomes that class's entry.
+
+        True means the caller builds the plan and stores it in ``best``;
+        every other outcome (bound prune, placeholder, dominance prune and
+        its audit record) is settled here, before anything is built.
+        """
         self.stats.plans_considered += 1
-        total = self._cost.total(plan.cost)
         if total > self._bound and mask != self._full_mask:
             self.stats.bound_prunes += 1
             if self._record_prunes:
                 self.stats.bound_pruned.append(PrunedCandidate(mask, key, total))
             self._table(mask).setdefault(key, None)
-            return
+            return False
         table = self.best.get(mask)
         if table is None:
             table = self._table(mask)
         existing = table.get(key)
         if existing is None:
             self.stats.entries_stored += 1
-            table[key] = JoinEntry(plan=plan, order_key=key)
-        elif total < self._cost.total(existing.cost):
+            return True
+        if total < existing.total:
             if self._record_prunes:
-                self.stats.pruned.append(
-                    PrunedCandidate(mask, key, self._cost.total(existing.cost))
-                )
-            table[key] = JoinEntry(plan=plan, order_key=key)
-        elif self._record_prunes:
+                self.stats.pruned.append(PrunedCandidate(mask, key, existing.total))
+            return True
+        if self._record_prunes:
             self.stats.pruned.append(PrunedCandidate(mask, key, total))
+        return False
+
+
+class _MergeInput(NamedTuple):
+    """One way to present a merge input in join-column order.
+
+    Either ``plan`` already has the order (``sort_on`` is None), or it is
+    the input a sort on ``sort_on`` would read; the sort node is built only
+    for a merge candidate the DP keeps.  ``cost`` is the input's whole
+    contribution to the merge.
+    """
+
+    cost: Cost
+    total: float
+    plan: PlanNode
+    sort_on: BoundColumn | None = None
+
+    def build(self) -> PlanNode:
+        """The input's plan, sort node included."""
+        column = self.sort_on
+        if column is None:
+            return self.plan
+        return SortNode(
+            child=self.plan,
+            keys=[(column, False)],
+            cost=self.cost,
+            rows=self.plan.rows,
+            order_columns=((column.alias, column.position),),
+        )
+
+    def label(self) -> str:
+        """The built plan's label (for check violations)."""
+        return self.build().label()
 
 
 #: Relative slack on U: a candidate is bound-pruned only when its total
 #: exceeds U by more than float rounding can explain.
 _BOUND_SLACK = 1e-9
+
+
+def _total(item: JoinEntry | _MergeInput) -> float:
+    """Sort and ``min`` key: an entry's or merge input's weighted total."""
+    return item.total
 
 
 def _live(table: dict[OrderKey, JoinEntry | None]) -> list[JoinEntry]:

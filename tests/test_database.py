@@ -125,9 +125,24 @@ BAD_SETTING_IDS = [
     "w-nan", "w-inf", "w-negative", "cache-memoize",
     "exec-bogus", "workers-zero", "workers-str", "workers-float",
 ]
+#: Settings fixed at construction (no setter), checked there only.
+BAD_FIXED_SETTINGS = [
+    ("buffer_pages", 0),
+    ("buffer_pages", -3),
+    ("buffer_pages", 1.5),
+    ("buffer_pages", "x"),
+    ("buffer_pages", True),
+]
+BAD_FIXED_SETTING_IDS = [
+    "buffer-zero", "buffer-negative", "buffer-float", "buffer-str", "buffer-bool",
+]
 
 
-@pytest.mark.parametrize("setting,bad", BAD_SETTINGS, ids=BAD_SETTING_IDS)
+@pytest.mark.parametrize(
+    "setting,bad",
+    BAD_SETTINGS + BAD_FIXED_SETTINGS,
+    ids=BAD_SETTING_IDS + BAD_FIXED_SETTING_IDS,
+)
 def test_bad_settings_fail_at_construction(setting, bad):
     """A setting that would break the first SELECT fails before any DDL or
     INSERT can run, naming the bad value."""

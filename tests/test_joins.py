@@ -8,7 +8,7 @@ from functools import lru_cache
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.check import verifying_optimizer
@@ -18,9 +18,11 @@ from repro.catalog import Catalog, IndexStats, RelationStats
 from repro.datatypes import INTEGER
 from repro.optimizer.binder import Binder
 from repro.optimizer.cost import CostModel
-from repro.optimizer.joins import JoinSearch
+from repro.optimizer import joins
+from repro.optimizer.joins import JoinEntry, JoinSearch
 from repro.optimizer.orders import InterestingOrders
 from repro.optimizer.plan import (
+    HashJoinNode,
     MergeJoinNode,
     NestedLoopJoinNode,
     ScanNode,
@@ -28,6 +30,7 @@ from repro.optimizer.plan import (
     render_plan,
     walk_plan,
 )
+from repro.optimizer.planner import Optimizer
 from repro.optimizer.predicates import to_cnf_factors
 from repro.optimizer.selectivity import SelectivityEstimator
 from repro.sql import parse_statement
@@ -386,3 +389,146 @@ def test_negative_w_breaks_monotonicity_under_check(catalog):
     )
     with pytest.raises(PlanCheckError, match="extension-not-monotone"):
         search.search()
+
+
+# ---------------------------------------------------------------------------
+# admit, then build; the inner-path memo keyed by buffer-fit level
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=8)
+def _padded(topology: str, relations: int, seed: int):
+    """Padded tables whose footprints straddle buffers of 4-64 pages.
+
+    ``("star", 4, 17)`` holds the rows of ``_pressed_star(3, seed=17)``;
+    the buffer size enters only through the optimizer, so one database
+    serves every buffer.
+    """
+    rng = random.Random(seed)
+    if topology == "star":
+        specs = random_star_spec(
+            relations - 1, rng, fact_rows=1200, max_dim_rows=300, pad_bytes=60
+        )
+        return build_database(specs, seed=seed), star_join_query(specs)
+    specs = random_chain_spec(
+        relations, rng, min_rows=40, max_rows=600, pad_bytes=60
+    )
+    return build_database(specs, seed=seed), chain_join_query(specs)
+
+
+def _plan_at(db, sql, buffer_pages: int, hash_join: bool):
+    optimizer = Optimizer(
+        db.catalog,
+        w=db.w,
+        buffer_pages=buffer_pages,
+        verify_plans=True,
+        use_hash_join=hash_join,
+    )
+    return optimizer.plan_query(parse_statement(sql))
+
+
+@contextmanager
+def exact_buffers():
+    """Key the inner-path memo by the available buffer itself."""
+    with mock.patch.object(
+        JoinSearch, "_fit_level", lambda self, position, available: available
+    ):
+        yield
+
+
+def _assert_same_planning(planned, reference):
+    assert render_plan(planned.root, w=planned.w) == render_plan(
+        reference.root, w=reference.w
+    )
+    assert planned.estimated_total() == reference.estimated_total()
+    # Every counter, and (verified planning) every prune record.
+    assert planned.search_stats == reference.search_stats
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    topology=st.sampled_from(["star", "chain"]),
+    relations=st.integers(min_value=3, max_value=5),
+    seed=st.integers(min_value=0, max_value=2),
+    buffer_pages=st.integers(min_value=4, max_value=64),
+    hash_join=st.booleans(),
+)
+# The 12-page star of the bounded-search tests, and a chain whose inners
+# are left buffers on both sides of an index footprint.
+@example(topology="star", relations=4, seed=17, buffer_pages=12, hash_join=False)
+@example(topology="chain", relations=5, seed=1, buffer_pages=24, hash_join=False)
+def test_fit_level_memo_plans_as_exact_buffers(
+    topology, relations, seed, buffer_pages, hash_join
+):
+    db, sql = _padded(topology, relations, seed)
+    planned = _plan_at(db, sql, buffer_pages, hash_join)
+    with exact_buffers():
+        reference = _plan_at(db, sql, buffer_pages, hash_join)
+    _assert_same_planning(planned, reference)
+
+
+def test_one_fit_level_serves_distinct_buffers():
+    """Under a 12-page buffer, outer entries leave an inner different
+    buffers that fall into one fit level; the shared memo entry plans
+    exactly as separate ones would."""
+    db, sql = _padded("star", 4, 17)
+    seen: dict[tuple, set[float]] = {}
+    fit_level = JoinSearch._fit_level
+
+    def spy(self, position, available):
+        level = fit_level(self, position, available)
+        seen.setdefault((id(self), position, level), set()).add(available)
+        return level
+
+    with mock.patch.object(JoinSearch, "_fit_level", spy):
+        planned = _plan_at(db, sql, 12, hash_join=False)
+    assert any(len(buffers) > 1 for buffers in seen.values())
+    with exact_buffers():
+        reference = _plan_at(db, sql, 12, hash_join=False)
+    _assert_same_planning(planned, reference)
+
+
+def test_losing_candidates_build_nothing():
+    """Every join node the search builds becomes a solution entry, and
+    every sort node it builds is an input of one of those merge joins."""
+    specs = random_star_spec(
+        7, random.Random(0), fact_rows=300, min_dim_rows=10, max_dim_rows=75
+    )
+    db = build_database(specs, seed=0)
+    sql = star_join_query(specs, [(specs[2].name, "ATTR", 3)])
+    built: list = []
+    entries: list = []
+
+    def recording(cls, into):
+        def make(*args, **kwargs):
+            made = cls(*args, **kwargs)
+            into.append(made)
+            return made
+
+        return make
+
+    with mock.patch.multiple(
+        joins,
+        NestedLoopJoinNode=recording(NestedLoopJoinNode, built),
+        MergeJoinNode=recording(MergeJoinNode, built),
+        HashJoinNode=recording(HashJoinNode, built),
+        SortNode=recording(SortNode, built),
+        JoinEntry=recording(JoinEntry, entries),
+    ):
+        planned = db.plan_query(parse_statement(sql))
+    kept = {id(entry.plan) for entry in entries}
+    join_nodes = [node for node in built if not isinstance(node, SortNode)]
+    assert join_nodes and all(id(node) in kept for node in join_nodes)
+    merge_inputs = {
+        id(child)
+        for node in join_nodes
+        if isinstance(node, MergeJoinNode)
+        for child in node.children()
+    }
+    sorts = [node for node in built if isinstance(node, SortNode)]
+    assert sorts and all(id(node) in merge_inputs for node in sorts)
+    assert len(built) < planned.search_stats.plans_considered / 4

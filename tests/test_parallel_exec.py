@@ -82,12 +82,26 @@ def _count_bucket_builds(monkeypatch) -> list[int]:
     built: list[int] = []
     build = fuse._build_buckets
 
-    def counting(snapshot, plan, key_positions):
+    def counting(snapshot, *args):
         built.append(len(snapshot.page_ids))
-        return build(snapshot, plan, key_positions)
+        return build(snapshot, *args)
 
     monkeypatch.setattr(fuse, "_build_buckets", counting)
     return built
+
+
+def _count_bucketed_rows(monkeypatch) -> list[int]:
+    """Record the rows every hash-probe bucket build hashes."""
+    bucketed: list[int] = []
+    build = fuse._build_buckets
+
+    def counting(*args):
+        buckets = build(*args)
+        bucketed.append(sum(len(bucket) for bucket in buckets.values()))
+        return buckets
+
+    monkeypatch.setattr(fuse, "_build_buckets", counting)
+    return bucketed
 
 
 @pytest.mark.parametrize("sql", QUERY_CORPUS)
@@ -141,6 +155,57 @@ def test_parallel_star_join_uses_the_hash_exchange(monkeypatch, empdept_matrix):
     assert deltas["fused"] == deltas["interp"]
     assert rows["fused"], "the star probe query must return rows to mean anything"
     assert len(built) == 1, "the fused run hashes DEPT once; interp never"
+
+
+def test_hash_probe_buckets_only_rows_the_constant_sargs_match(
+    monkeypatch, empdept_matrix
+):
+    """The inner's constant part ``SAL > 300`` binds once per driver call:
+    only the EMP rows it admits are hashed, keyed on DNO, and rows and
+    counters stay the interpreter's."""
+    bucketed = _count_bucketed_rows(monkeypatch)
+    rows = {}
+    deltas = {}
+    for key, db in empdept_matrix.items():
+        rows[key], deltas[key] = _cold_run(db, STAR_JOIN)
+    assert rows["fused"] == rows["interp"]
+    assert deltas["fused"] == deltas["interp"]
+    interp = empdept_matrix["interp"]
+    admitted = interp.execute(
+        "SELECT COUNT(*) FROM EMP WHERE SAL > 300 AND DNO IS NOT NULL"
+    ).scalar()
+    assert 0 < admitted < interp.execute("SELECT COUNT(*) FROM EMP").scalar()
+    assert bucketed == [admitted]
+
+
+def test_hash_probe_rebinds_outer_block_sargs_per_call(monkeypatch):
+    """``I.W >= P.A`` reads the enclosing block, not the join's outer row:
+    each evaluation of the correlated subquery filters the inner anew
+    (NULL admitting nothing), with the interpreter's rows and counters."""
+    sql = (
+        "SELECT P.A, (SELECT COUNT(*) FROM O, I "
+        "WHERE O.K = I.K AND I.W >= P.A) FROM P"
+    )
+    bucketed = _count_bucketed_rows(monkeypatch)
+    results = {}
+    for mode in ("fused", "interp"):
+        db = _probe_db()
+        db.exec_mode = mode
+        db.execute("CREATE TABLE P (A INTEGER)")
+        load_rows(db, "P", [(0,), (30,), (70,), (100,), (None,)])
+        db.execute("UPDATE STATISTICS")
+        (subquery,) = db.plan(sql).subquery_plans.values()
+        assert any(
+            isinstance(node, NestedLoopJoinNode)
+            and node.inner.alias == "I"
+            and not isinstance(node.inner.access, IndexAccess)
+            for node in walk_plan(subquery.root)
+        )
+        results[mode] = _cold_run(db, sql)
+        db.close()
+    assert results["fused"] == results["interp"]
+    # I holds W = 0, 2, ..., 78: W >= 0, 30, 70 admit 40, 25 and 5 rows.
+    assert sorted(bucketed) == [0, 0, 5, 25, 40]
 
 
 def test_hash_probe_replay_counts_without_resolving(monkeypatch, empdept_matrix):
