@@ -14,7 +14,9 @@ Five sub-checks, all on by default:
   reachability, checksums) over in-memory, durable, torn-page, and
   crash/recover scenarios.
 - ``--fusion`` executes the workload corpus (plus a dedicated hash-join
-  corpus) under both engines — interpreted and fused — on the same
+  corpus, and a sort and aggregation corpus on a 4-page buffer, where
+  sorts merge in several passes) under both engines — interpreted and
+  fused — on the same
   database from a cold buffer, asserting the *ordered* row sequences,
   cost counters, and subquery evaluation cadence are bit-identical —
   fused chains must preserve every declared output order, not just row
@@ -428,6 +430,59 @@ def hashjoin_corpus() -> list[tuple[Database, list[str]]]:
     ]
 
 
+#: Buffer pages of the sort corpus: a 3-way merge fan-in, so its sorts
+#: spill many runs and merge in several passes.
+SORT_CORPUS_BUFFER = 4
+
+#: Sorts and aggregates over NULLs, VARCHAR and FLOAT keys, ascending,
+#: descending and mixed, with HAVING, DISTINCT and empty inputs.
+SORT_QUERIES = (
+    "SELECT I, K FROM S ORDER BY K DESC, I",
+    "SELECT NAME, K, F FROM S WHERE K < 30 ORDER BY NAME DESC, F",
+    "SELECT I, NAME, F FROM S ORDER BY F DESC, NAME DESC",
+    "SELECT K, COUNT(*), SUM(F), MIN(NAME), MAX(F), AVG(F) FROM S GROUP BY K",
+    "SELECT NAME, COUNT(DISTINCT K), COUNT(F) FROM S GROUP BY NAME "
+    "HAVING COUNT(*) > 5",
+    "SELECT F, COUNT(*), MAX(K) FROM S WHERE I > 100 GROUP BY F",
+    "SELECT COUNT(*), SUM(F), MIN(K), MAX(NAME) FROM S WHERE K > 99",
+    "SELECT K, NAME FROM S WHERE I < 0 ORDER BY NAME",
+    "SELECT K, COUNT(*) FROM S WHERE I < 0 GROUP BY K",
+)
+
+
+def sort_corpus() -> tuple[Database, tuple[str, ...]]:
+    """A relation many times the 4-page buffer, NULLs in every key column,
+    with :data:`SORT_QUERIES`."""
+    from ..workloads.empdept import load_rows
+
+    rng = random.Random(1979)
+
+    def maybe(value):
+        return None if rng.random() < 0.1 else value
+
+    db = Database(buffer_pages=SORT_CORPUS_BUFFER)
+    db.execute(
+        "CREATE TABLE S (I INTEGER, K INTEGER, F FLOAT, NAME VARCHAR(12), "
+        "PAD VARCHAR(60))"
+    )
+    load_rows(
+        db,
+        "S",
+        [
+            (
+                i,
+                maybe(rng.randrange(60)),
+                maybe(rng.randrange(-200, 200) / 8),
+                maybe(rng.choice(["", "ADA", "BO", "CY", "CYD", "ZED"])),
+                "p" * rng.randrange(20, 60),
+            )
+            for i in range(1500)
+        ],
+    )
+    db.execute("UPDATE STATISTICS")
+    return db, SORT_QUERIES
+
+
 def check_fusion(queries: int = 40, seed: int = 662607) -> list[Violation]:
     """Differential audit of the fused engine against the interpreted one."""
     violations: list[Violation] = []
@@ -466,6 +521,13 @@ def check_fusion(queries: int = 40, seed: int = 662607) -> list[Violation]:
                     )
                 )
     print(f"  hashjoin: {hashed_queries} queries: interp vs fused")
+    db, sort_queries = sort_corpus()
+    for sql in sort_queries:
+        chains += _audit_fused_query(db, sql, violations)[0]
+    print(
+        f"  sorts: {len(sort_queries)} queries at {SORT_CORPUS_BUFFER} pages: "
+        "interp vs fused"
+    )
     print(
         f"  {chains} fused chains and {hash_joins} hash joins audited "
         "for order and counter fidelity"

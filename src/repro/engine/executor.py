@@ -21,6 +21,7 @@ from ..optimizer.bound import BoundQueryBlock, BoundSubquery
 from ..optimizer.planner import PlannedStatement
 from ..rss.storage import StorageEngine
 from .evaluator import EvalEnv, evaluate
+from .fuse import output_tuples
 from .operators import ExecContext, iterate
 from .rows import OUTPUT_ALIAS
 
@@ -176,8 +177,6 @@ class Runtime:
         )
         ctx = _context_for(self, planned)
         if ctx.fused:
-            from .fuse import output_tuples
-
             return [
                 values[0]
                 for values in output_tuples(planned.root, ctx, outer=env)
@@ -244,8 +243,6 @@ class Executor:
         self.last_runtime = runtime
         ctx = _context_for(runtime, planned)
         if ctx.fused:
-            from .fuse import output_tuples
-
             rows = list(output_tuples(planned.root, ctx))
         else:
             rows = [

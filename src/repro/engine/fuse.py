@@ -13,9 +13,15 @@ generators.
 Pipeline breakers terminate chains and couple them batch-at-a-time:
 
 - **Sort** materializes its input (the fused chain below is consumed
-  whole) and re-emits the ordered output in batches.
-- **Aggregate** folds a group-ordered batch stream through the shared
-  streaming-aggregation core.
+  whole) and re-emits the ordered output in batches.  Over a
+  single-alias ``Filter*→Scan`` chain it sorts the chain's bare value
+  tuples (:func:`_build_sorted_values`), and a Project or an Aggregate
+  directly above reads those tuples by position; any other input sorts
+  composite rows through :func:`~repro.engine.operators.sort_rows`.
+- **Aggregate** folds a group-ordered stream of value tuples (a bare
+  scan's or a sort's) through one generated fold per aggregate-list
+  shape (:func:`~repro.engine.operators.fold_program`); other shapes run the shared
+  streaming-aggregation core over ``Row`` batches.
 - **Merge join** consumes its outer side as fused batches but pulls its
   inner side tuple-at-a-time: the inner may be abandoned early, and
   batch-granular RSI accounting would charge tuples the reference engine
@@ -36,15 +42,17 @@ mapping SARG-matched ``(tid, values)`` pairs to an output batch, which
 the chain's driver applies over ``scan.batches()``.
 
 Counter fidelity: ``batches()`` does no RSI accounting; drivers charge
-``CostCounters.count_rsi_call(len(batch))`` before a batch is processed.
-Totals match the tuple-at-a-time path exactly because every batched
-stream here is fully consumed — the only partial consumer in the engine
-(the merge-join inner) stays on the per-tuple path.
+``CostCounters.count_rsi_call(len(batch))`` before a batch is processed,
+and a sort's read-back charges a temp page's tuples when the page is
+fetched.  Totals match the tuple-at-a-time path exactly because every
+batched stream here is fully consumed — the only partial consumer in the
+engine (the merge-join inner) stays on the per-tuple path.
 
 Drivers are compiled once per plan node and cached on
-``PlanNode.compiled`` (keys ``"fused"`` and ``"fused_out"``); they
-capture only compiled programs and plan constants, never an execution
-context, so a cached plan re-executes with fresh runtimes.
+``PlanNode.compiled`` (keys ``"fused"``, ``"fused_out"`` and, for a sort,
+``"fused_sorted"``); they capture only compiled programs and plan
+constants, never an execution context, so a cached plan re-executes with
+fresh runtimes.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ from ..optimizer.predicates import SargExpression
 from ..rss.sargs import CompareOp, SargProgram, TupleMatcher, sarg_program
 from ..rss.scan import page_rows
 from ..rss.storage import ScanSnapshot
-from ..rss.tuples import DecodePlan
+from ..rss.tuples import DecodePlan, max_record_size
 from ..sql import ast
 from .evaluator import EvalEnv
 from .operators import (
@@ -92,6 +100,8 @@ from .operators import (
     _ScanProgram,
     aggregate_rows,
     build_hash_table,
+    external_sorter,
+    fold_program,
     iterate,
     merge_join_rows,
     open_scan,
@@ -105,6 +115,9 @@ BREAKER_BATCH_SIZE = 1024
 #: A compiled batch driver: executes one plan subtree against a context,
 #: yielding lists of composite rows.
 BatchDriver = Callable[[ExecContext, "EvalEnv | None"], Iterator[list[Row]]]
+
+#: A compiled driver yielding lists of one relation's bare value tuples.
+ValuesDriver = Callable[[ExecContext, "EvalEnv | None"], Iterator[list[tuple]]]
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +464,32 @@ def _row_chain_driver(
                 yield out
 
     return chain_driver
+
+
+def _values_chain_driver(
+    scan_node: ScanNode, filters: list[FilterNode], ctx: ExecContext
+) -> ValuesDriver:
+    """``Filter*→Scan`` emitting the passing rows' bare value tuples."""
+    alias = scan_node.alias
+    test, __ = _chain_closures(scan_node, filters, None, ctx)
+
+    if test is None:
+
+        def process(env: EvalEnv, chunk):
+            return [values for __, values in chunk]
+
+    else:
+
+        def process(env: EvalEnv, chunk):
+            out = []
+            append = out.append
+            for tid, values in chunk:
+                env.row = Row(values={alias: values}, tids={alias: tid})
+                if test(env):
+                    append(values)
+            return out
+
+    return _scan_driver(scan_node, process, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +886,16 @@ def _lazy_rows(
 
 
 def _sort_driver(node: SortNode, ctx: ExecContext) -> BatchDriver:
+    flat = _sorted_values_program(node, ctx)
+    if flat is not None:
+        alias, sorted_values = flat
+
+        def values_driver(ctx: ExecContext, outer: EvalEnv | None):
+            for batch in sorted_values(ctx, outer):
+                yield [Row(values={alias: values}) for values in batch]
+
+        return values_driver
+
     source = _fused_program(node.child, ctx)
 
     def driver(ctx: ExecContext, outer: EvalEnv | None):
@@ -858,10 +907,49 @@ def _sort_driver(node: SortNode, ctx: ExecContext) -> BatchDriver:
     return driver
 
 
+def _sorted_values_program(
+    node: SortNode, ctx: ExecContext
+) -> tuple[str, ValuesDriver] | None:
+    cache = node.compiled
+    if "fused_sorted" not in cache:
+        cache["fused_sorted"] = _build_sorted_values(node, ctx)
+    return cache["fused_sorted"]
+
+
+def _build_sorted_values(
+    node: SortNode, ctx: ExecContext
+) -> tuple[str, ValuesDriver] | None:
+    """``(alias, driver)`` sorting a single-alias ``Filter*→Scan`` chain's
+    value tuples straight through the external sorter, or ``None`` for
+    any other input (which sorts through :func:`sort_rows`).
+
+    The driver re-emits the sorted tuples in :data:`BREAKER_BATCH_SIZE`
+    batches, read back a page at a time as the batches need them: the
+    same rows, page fetches and temp-list drop point as the ``Row`` path.
+    """
+    project, filters, bottom = _collapse(node.child)
+    if project is not None or not isinstance(bottom, ScanNode):
+        return None
+    alias = bottom.alias
+    if any(column.alias != alias for column, __ in node.keys):
+        return None
+    source = _values_chain_driver(bottom, filters, ctx)
+    datatypes = ctx.schemas[alias]
+    keys = [(column.position, descending) for column, descending in node.keys]
+    row_bytes = max_record_size(datatypes)
+
+    def driver(ctx: ExecContext, outer: EvalEnv | None):
+        sorter = external_sorter(ctx, datatypes, keys, row_bytes)
+        pages = sorter.sort_pages(chain.from_iterable(source(ctx, outer)))
+        yield from _rebatch(chain.from_iterable(pages))
+
+    return alias, driver
+
+
 def _aggregate_driver(node: AggregateNode, ctx: ExecContext) -> BatchDriver:
-    shape = scan_fold_shape(node, ctx)
-    if shape is not None:
-        return scan_fold_driver(node, ctx, shape)
+    folded = _fold_input(node, ctx)
+    if folded is not None:
+        return _fold_driver(node, ctx, *folded)
     program = _program(node, ctx, _build_aggregate)
     source = _fused_program(node.child, ctx)
 
@@ -874,130 +962,116 @@ def _aggregate_driver(node: AggregateNode, ctx: ExecContext) -> BatchDriver:
     return driver
 
 
-def scan_fold_shape(node: AggregateNode, ctx: ExecContext):
-    """``(scan node, scan program, key positions, argument positions)``
-    when ``Scan→Aggregate`` can fold decoded storage tuples directly.
+def _fold_input(node: AggregateNode, ctx: ExecContext):
+    """``(chunks, make_fold, group_row, batch_size)`` for
+    :func:`_fold_driver` when the aggregate folds value tuples directly,
+    or ``None``.
 
-    That needs a bare scan below (group order from an index, or none for
-    ungrouped aggregates), no residual, and every grouping key and
-    aggregate argument a plain column of that scan; ``None`` otherwise.
-    Argument positions align with ``node.aggregates`` (``None`` marks
-    ``COUNT(*)``).
+    Two inputs qualify when :func:`fold_program` covers the aggregate
+    list: a bare scan without residual (group order from an index, or
+    none for ungrouped aggregates), folded over its ``(tid, values)``
+    batches with all groups emitted in one batch at the end; and a sort
+    over a single-alias chain (:func:`_build_sorted_values`), folded over
+    its value tuples with groups emitted in :data:`BREAKER_BATCH_SIZE`
+    batches.  Either way the representative row of a group is the one the
+    reference streaming aggregation builds: the group's first tuple.
     """
-    project, filters, bottom = _collapse(node.child)
-    if project is not None or filters or not isinstance(bottom, ScanNode):
-        return None
-    scan_program = _program(bottom, ctx, _build_scan)
-    if scan_program.residual is not None:
-        return None
-    alias = bottom.alias
-    for column in node.group_by:
-        if column.alias != alias:
+    child = node.child
+    if isinstance(child, ScanNode):
+        if _program(child, ctx, _build_scan).residual is not None:
             return None
-    arg_positions: list[int | None] = []
-    for call in node.aggregates:
-        if call.argument is None:
-            arg_positions.append(None)
-        elif (
-            type(call.argument) is BoundColumn
-            and call.argument.alias == alias
-        ):
-            arg_positions.append(call.argument.position)
-        else:
+        make_fold = fold_program(node, child.alias, pairs=True)
+        if make_fold is None:
             return None
-    key_positions = tuple(column.position for column in node.group_by)
-    return bottom, scan_program, key_positions, tuple(arg_positions)
+        alias = child.alias
+
+        def scan_row(first: tuple, results: tuple) -> Row:
+            tid, values = first
+            return Row(
+                values={alias: values, AGGREGATE_ALIAS: results}, tids={alias: tid}
+            )
+
+        chunks = _scan_driver(child, lambda env, chunk: chunk, ctx)
+        return chunks, make_fold, scan_row, None
+    if isinstance(child, SortNode):
+        flat = _sorted_values_program(child, ctx)
+        if flat is None:
+            return None
+        alias, sorted_values = flat
+        make_fold = fold_program(node, alias)
+        if make_fold is None:
+            return None
+
+        def sorted_row(values: tuple, results: tuple) -> Row:
+            return Row(values={alias: values, AGGREGATE_ALIAS: results})
+
+        return sorted_values, make_fold, sorted_row, BREAKER_BATCH_SIZE
+    return None
 
 
-def scan_fold_driver(node: AggregateNode, ctx: ExecContext, shape) -> BatchDriver:
-    """``Scan→Aggregate`` folded over decoded storage tuples.
+def _fold_driver(
+    node: AggregateNode,
+    ctx: ExecContext,
+    chunks: Callable,
+    make_fold,
+    group_row: Callable[[tuple, tuple], Row],
+    batch_size: int | None,
+) -> BatchDriver:
+    """An aggregate folded by its generated fold over ``chunks``.
 
-    The per-tuple fold (:func:`run_folder`) indexes the decoded values
-    tuple directly — no composite ``Row``, no environment, no
-    compiled-closure calls below the group boundary.
-    One representative ``Row`` per *group* is built at emit for HAVING
-    and downstream projection, exactly as the reference streaming
-    aggregation builds it.
-
-    The folder runs over ``scan.batches()`` and finished groups emit
-    between batches (a HAVING subquery keeps its place in the fetch
-    trace).
+    The fold indexes the value tuples directly — no composite ``Row``, no
+    environment, no compiled-closure calls below the group boundary.
+    Each chunk folds in one loop, then its finished groups emit: one
+    ``Row`` per *group* for HAVING and downstream projection, output
+    leaving in ``batch_size`` batches of groups that passed HAVING (one
+    batch at the end when ``None``).  The HAVING calls, the output batches
+    and the pages read between them therefore come in the order the
+    ``Row`` paths this replaces gave them (a HAVING subquery keeps its
+    place in the fetch trace).
     """
-    scan_node, scan_program, key_positions, arg_positions = shape
-    alias = scan_node.alias
-    aggregates = tuple(node.aggregates)
     having = _program(node, ctx, _build_aggregate).having
-    grouped = bool(node.group_by)
+    # Aggregates over an empty input still produce one row, unless grouped.
+    empty = (
+        None
+        if node.group_by
+        else tuple([_AggState(call).result() for call in node.aggregates])
+    )
 
     def driver(ctx: ExecContext, outer: EvalEnv | None):
         having_env = None if having is None else ctx.env(Row(), outer)
-        emitted: list[Row] = []
-        runs: list[tuple] = []
+        out: list[Row] = []
 
-        def emit(representative: Row, states) -> None:
-            results = tuple([state.result() for state in states])
-            out = representative.with_alias(AGGREGATE_ALIAS, results)
-            if having is not None:
-                having_env.row = out
-                if having(having_env) is not True:
-                    return
-            emitted.append(out)
+        def keep(row: Row) -> bool:
+            if having is None:
+                return True
+            having_env.row = row
+            return having(having_env) is True
 
-        def flush(count: int) -> None:
-            for __, states, tid, values in runs[:count]:
-                emit(Row(values={alias: values}, tids={alias: tid}), states)
-            del runs[:count]
-
-        scan = open_scan(scan_node, scan_program, ctx, outer)
-        if scan is not None:
-            count_rsi = ctx.storage.counters.count_rsi_call
-            fold = run_folder(runs, key_positions, arg_positions, aggregates)
-            for batch in scan.batches():
-                count_rsi(len(batch))
-                fold(batch)
-                if len(runs) > 1:
-                    flush(len(runs) - 1)
-        if runs:
-            flush(1)
-        elif not grouped:
-            # Aggregates over an empty input still produce one row.
-            emit(Row(), [_AggState(call) for call in aggregates])
-        if emitted:
-            yield emitted
+        done: list[tuple] = []
+        fold, finish = make_fold(done)
+        for chunk in chunks(ctx, outer):
+            fold(chunk)
+            for results, first in done:
+                row = group_row(first, results)
+                if keep(row):
+                    out.append(row)
+                    if len(out) == batch_size:
+                        yield out
+                        out = []
+            done.clear()
+        last = finish()
+        if last is not None:
+            row = group_row(last[1], last[0])
+        elif empty is not None:
+            row = Row(values={AGGREGATE_ALIAS: empty})
+        else:
+            return
+        if keep(row):
+            out.append(row)
+        if out:
+            yield out
 
     return driver
-
-
-def run_folder(
-    runs: list[tuple],
-    key_positions: tuple[int, ...],
-    arg_positions: tuple[int | None, ...],
-    calls,
-):
-    """A chunk processor folding rows into per-group aggregate states.
-
-    Appends ``(key, states, tid, values)`` to ``runs`` in
-    first-occurrence order under streaming (adjacency) group semantics —
-    a key reappearing after another opens a new run — with ``tid`` and
-    ``values`` those of the run's first row.  The open group carries
-    across calls, so a consumer may emit and drop every run but the
-    last between chunks.
-    """
-    current_key: object = None
-    states: list[_AggState] = []
-
-    def fold(chunk) -> None:
-        nonlocal current_key, states
-        for tid, values in chunk:
-            key = tuple([values[p] for p in key_positions])
-            if key != current_key:
-                current_key = key
-                states = [_AggState(call) for call in calls]
-                runs.append((key, states, tid, values))
-            for state, position in zip(states, arg_positions):
-                state.add(None if position is None else values[position])
-
-    return fold
 
 
 def _distinct_driver(node: DistinctNode, ctx: ExecContext) -> BatchDriver:
@@ -1056,6 +1130,10 @@ def _build_output(node: PlanNode, ctx: ExecContext) -> BatchDriver:
         assert project is not None
         if isinstance(bottom, ScanNode):
             return _scan_output_driver(bottom, filters, project, ctx)
+        if not filters and isinstance(bottom, SortNode):
+            columns = _sorted_columns_driver(bottom, project, ctx)
+            if columns is not None:
+                return columns
         preds = [_program(f, ctx, _build_filter) for f in filters]
         return _row_output_driver(
             _fused_program(bottom, ctx), preds, project, ctx
@@ -1129,6 +1207,28 @@ def _scan_output_driver(
             return out
 
     return _scan_driver(scan_node, process, ctx)
+
+
+def _sorted_columns_driver(
+    sort: SortNode, project: ProjectNode, ctx: ExecContext
+) -> BatchDriver | None:
+    """A select list of plain columns over a sort's value tuples
+    (:func:`_build_sorted_values`): one ``itemgetter`` per tuple, no
+    ``Row``; ``None`` for any other shape."""
+    flat = _sorted_values_program(sort, ctx)
+    if flat is None:
+        return None
+    alias, source = flat
+    positions = _column_positions(project.exprs, alias)
+    if positions is None:
+        return None
+    getter = columns_getter(positions)
+
+    def driver(ctx: ExecContext, outer: EvalEnv | None):
+        for batch in source(ctx, outer):
+            yield list(map(getter, batch))
+
+    return driver
 
 
 def _row_output_driver(

@@ -27,10 +27,13 @@ the tuple-at-a-time interface would have.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterator
 
 from ..datatypes import DataType
 from ..errors import ExecutionError
+from ..optimizer.bound import BoundColumn
 from ..optimizer.plan import (
     AggregateNode,
     DistinctNode,
@@ -46,11 +49,14 @@ from ..optimizer.plan import (
     walk_plan,
 )
 from ..rss.sargs import SargProgram, SargShape, column_kind, sarg_program
-from ..rss.tuples import DecodePlan
+from ..rss.tuples import DecodePlan, max_record_size
+from ..sorting import workspace_rows
 from ..sql import ast
 from .compile import EvalFn, ExprCompiler, ordering_fns
 from .evaluator import EvalEnv
+from .external_sort import ExternalSorter
 from .rows import AGGREGATE_ALIAS, OUTPUT_ALIAS, Row
+from .temp import TempList
 
 
 @dataclass
@@ -570,16 +576,15 @@ def _grace_hash_join(
     trivially; the deterministic partition hash keeps temp page counts
     stable across runs.
     """
-    from .temp import TempList
-
     count = node.partitions
     fns = program.partition_fns
-    inner_schema = [(node.inner.alias, ctx.schemas[node.inner.alias])]
-    outer_aliases = sorted(_local_aliases(node.outer))
-    outer_schema = [(alias, ctx.schemas[alias]) for alias in outer_aliases]
+    inner = _RowLayout([(node.inner.alias, ctx.schemas[node.inner.alias])])
+    probe = _RowLayout(
+        [(alias, ctx.schemas[alias]) for alias in sorted(_local_aliases(node.outer))]
+    )
     storage = ctx.storage
-    build_parts = [TempList(storage, inner_schema) for __ in range(count)]
-    probe_parts = [TempList(storage, outer_schema) for __ in range(count)]
+    build_parts = [TempList(storage, inner.datatypes) for __ in range(count)]
+    probe_parts = [TempList(storage, probe.datatypes) for __ in range(count)]
     inner_getters = program.inner_getters
     outer_getters = program.outer_getters
     try:
@@ -587,17 +592,17 @@ def _grace_hash_join(
             key = tuple([getter(row) for getter in inner_getters])
             if None in key:
                 continue
-            build_parts[_partition_of(key, fns, count)].append(row)
+            build_parts[_partition_of(key, fns, count)].append(inner.flatten(row))
         for row in iterate(node.outer, ctx, outer):
             key = tuple([getter(row) for getter in outer_getters])
             if None in key:
                 continue
-            probe_parts[_partition_of(key, fns, count)].append(row)
+            probe_parts[_partition_of(key, fns, count)].append(probe.flatten(row))
         count_rsi = storage.counters.count_rsi_call
         env = ctx.env(Row(), outer)
         for build_part, probe_part in zip(build_parts, probe_parts):
             table: dict[tuple, list[Row]] = {}
-            for row in build_part.scan():
+            for row in map(inner.wrap, build_part.scan()):
                 key = tuple([getter(row) for getter in inner_getters])
                 bucket = table.get(key)
                 if bucket is None:
@@ -605,7 +610,7 @@ def _grace_hash_join(
                 else:
                     bucket.append(row)
             yield from hash_join_rows(
-                program, count_rsi, env, table, probe_part.scan()
+                program, count_rsi, env, table, map(probe.wrap, probe_part.scan())
             )
     finally:
         for part in build_parts:
@@ -641,20 +646,51 @@ def _sort_rows(rows: list[Row], keys) -> list[Row]:
     return ordered
 
 
+class _RowLayout:
+    """Composite rows over ``schema``'s aliases as the flat tuples of a
+    temporary list: column types, and each alias's offset in the tuple."""
+
+    def __init__(self, schema: list[tuple[str, list[DataType]]]):
+        self.datatypes: list[DataType] = []
+        self.offsets: dict[str, int] = {}
+        #: per alias: name, slice of the flat tuple, its all-NULL values
+        self._spans: list[tuple[str, int, int, tuple]] = []
+        for alias, types in schema:
+            start = len(self.datatypes)
+            self.offsets[alias] = start
+            self._spans.append((alias, start, start + len(types), (None,) * len(types)))
+            self.datatypes.extend(types)
+
+    def flatten(self, row: Row) -> tuple:
+        """A row's flat tuple; a missing alias flattens to NULLs."""
+        values = row.values
+        return tuple(
+            chain.from_iterable(
+                values.get(alias, nulls) for alias, __, ___, nulls in self._spans
+            )
+        )
+
+    def wrap(self, flat: tuple) -> Row:
+        """The row of a flat tuple (no TIDs: they do not survive
+        materialization)."""
+        return Row(
+            values={alias: flat[start:end] for alias, start, end, __ in self._spans}
+        )
+
+
 def sort_rows(
     node: SortNode, ctx: ExecContext, child_rows: Iterator[Row]
 ) -> Iterator[Row]:
-    """Sort into a temporary list, spilling to multi-pass runs when the
-    input exceeds a buffer-pool-sized workspace (§5: "several passes").
+    """Sort composite rows into a temporary list, spilling to multi-pass
+    runs when the input exceeds a buffer-pool-sized workspace (§5:
+    "several passes").
 
-    The input stream is always fully consumed; the sorted output is lazy
-    (run pages are read back only as rows are pulled), so partial
-    consumers see the same page-fetch pattern on every path.
+    The one ``Row`` adapter of the external sorter: rows flatten on the
+    way in and wrap on the way out.  The input stream is always fully
+    consumed; the sorted output is lazy (run pages are read back only as
+    rows are pulled), so partial consumers see the same page-fetch
+    pattern on every path.
     """
-    from ..rss.tuples import max_record_size
-    from ..sorting import workspace_rows
-    from .external_sort import ExternalSorter
-
     aliases = sorted(_local_aliases(node.child))
     materializable = aliases and all(alias in ctx.schemas for alias in aliases)
     has_aggregate = any(
@@ -664,16 +700,32 @@ def sort_rows(
         # Post-aggregation (pseudo-alias) sorts stay in memory.
         return iter(_sort_rows(list(child_rows), node.keys))
     schema = [(alias, ctx.schemas[alias]) for alias in aliases]
-    row_bytes = sum(
-        max_record_size(datatypes) for __, datatypes in schema
+    layout = _RowLayout(schema)
+    sorter = external_sorter(
+        ctx,
+        layout.datatypes,
+        [
+            (layout.offsets[column.alias] + column.position, descending)
+            for column, descending in node.keys
+        ],
+        row_bytes=sum(max_record_size(datatypes) for __, datatypes in schema),
     )
-    sorter = ExternalSorter(
+    return map(layout.wrap, sorter.sort(map(layout.flatten, child_rows)))
+
+
+def external_sorter(
+    ctx: ExecContext, datatypes, keys, row_bytes: int
+) -> ExternalSorter:
+    """The external sorter of a sort node over flat tuples of
+    ``datatypes``: its workspace holds as many rows of ``row_bytes`` as
+    the buffer pool does (:func:`repro.sorting.workspace_rows`), and it
+    merges at the pool's fan-in."""
+    return ExternalSorter(
         ctx.storage,
-        schema,
-        node.keys,
+        datatypes,
+        keys,
         memory_rows=workspace_rows(ctx.storage.buffer.capacity, row_bytes),
     )
-    return sorter.sort(child_rows)
 
 
 def _iter_sort(
@@ -734,6 +786,153 @@ class _AggState:
         if name == "MIN":
             return self.minimum
         return self.maximum
+
+
+#: Aggregates the generated fold covers (of a plain column or
+#: ``COUNT(*)``); anything else folds through ``_AggState``.
+_FOLDED = frozenset(("COUNT", "SUM", "AVG", "MIN", "MAX"))
+
+
+def fold_program(node: AggregateNode, alias: str, pairs: bool = False):
+    """The generated fold of ``node``'s aggregate list over tuples of
+    ``alias``, or ``None`` when a grouping key or an aggregate argument is
+    not a plain column of it, or an aggregate is unknown.
+
+    ``pairs`` folds ``(tid, values)`` pairs (a scan's batches) instead of
+    bare value tuples (a sort's).  See :func:`_fold_source`; the fused
+    engine runs it where interp runs :class:`_AggState`.
+    """
+    if any(column.alias != alias for column in node.group_by):
+        return None
+    shape: list[tuple[str, int | None, bool]] = []
+    for call in node.aggregates:
+        if call.name not in _FOLDED:
+            return None
+        if call.argument is None:
+            shape.append((call.name, None, False))
+        elif type(call.argument) is BoundColumn and call.argument.alias == alias:
+            shape.append((call.name, call.argument.position, call.distinct))
+        else:
+            return None
+    keys = tuple(column.position for column in node.group_by)
+    return _fold_maker(keys, tuple(shape), pairs)
+
+
+@lru_cache(maxsize=256)
+def _fold_maker(
+    keys: tuple[int, ...], shape: tuple[tuple[str, int | None, bool], ...], pairs: bool
+):
+    namespace: dict = {"START": object()}
+    exec(compile(_fold_source(keys, shape, pairs), "<fold>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _fold_source(
+    keys: tuple[int, ...], shape: tuple[tuple[str, int | None, bool], ...], pairs: bool
+) -> str:
+    """``make(done)`` source for one aggregate-list shape.
+
+    ``make`` returns ``(fold, finish)``.  ``fold(chunk)`` folds tuples
+    under streaming (adjacency) group semantics — a key reappearing after
+    another opens a new group — appending each finished group to ``done``
+    as ``(results, first)``, ``first`` being the group's first item; the
+    open group carries across calls, and ``finish()`` returns it the same
+    way (``None`` when nothing was folded).  The accumulators and results
+    are ``_AggState``'s, statement for statement: a count of non-NULL
+    values (of values not yet in the group's set, for DISTINCT), a total
+    from integer 0, a strict ``<``/``>`` extreme.  The source holds
+    positions and operators only, never a value.
+    """
+    state = ["key", "first"]
+    inits = ["START", "None"]
+    steps: list[str] = []
+    results: list[str] = []
+    loads: dict[int, None] = {}
+    for i, (name, position, distinct) in enumerate(shape):
+        v = f"v{position}"
+        if position is None:  # COUNT(*)
+            state.append(f"c{i}")
+            inits.append("0")
+            steps.append(f"c{i} += 1")
+            results.append(f"c{i}")
+            continue
+        loads[position] = None
+        test = f"{v} is not None"
+        add = []
+        if distinct:
+            state.append(f"s{i}")
+            inits.append("set()")
+            test += f" and {v} not in s{i}"
+            add.append(f"    s{i}.add({v})")
+        if name == "COUNT":
+            state.append(f"c{i}")
+            inits.append("0")
+            steps.append("\n".join([f"if {test}:", *add, f"    c{i} += 1"]))
+            results.append(f"c{i}")
+        elif name in ("SUM", "AVG"):
+            state.extend((f"c{i}", f"t{i}"))
+            inits.extend(("0", "0"))
+            steps.append(
+                "\n".join([f"if {test}:", *add, f"    c{i} += 1", f"    t{i} += {v}"])
+            )
+            total = f"t{i}" if name == "SUM" else f"t{i} / c{i}"
+            results.append(f"{total} if c{i} else None")
+        else:
+            op = "<" if name == "MIN" else ">"
+            state.append(f"m{i}")
+            inits.append("None")
+            steps.append(
+                "\n".join(
+                    [
+                        f"if {test}:",
+                        *add,
+                        f"    if m{i} is None or {v} {op} m{i}:",
+                        f"        m{i} = {v}",
+                    ]
+                )
+            )
+            results.append(f"m{i}")
+    names = ", ".join(state)
+    result = "(" + "".join(r + ", " for r in results) + ")"
+    item = "(tid, values)" if pairs else "values"
+    if not keys:
+        opening = ["if first is None:", f"    first = {item}"]
+    else:
+        if len(keys) == 1:
+            # A one-column key tuple would compare its item just so:
+            # identity first, then ``!=``.
+            lines = [f"k = values[{keys[0]}]", "if k is not key and k != key:"]
+        else:
+            key = ", ".join(f"values[{p}]" for p in keys)
+            lines = [f"k = ({key})", "if k != key:"]
+        opening = [
+            *lines,
+            "    if first is not None:",
+            f"        done.append(({result}, first))",
+            "    key = k",
+            f"    first = {item}",
+            *(f"    {name} = {init}" for name, init in zip(state[2:], inits[2:])),
+        ]
+    body = [
+        *opening,
+        *(f"v{p} = values[{p}]" for p in loads),
+        *(line for step in steps for line in step.split("\n")),
+    ]
+    return "\n".join(
+        [
+            "def make(done):",
+            f"    state = [{', '.join(inits)}]",
+            "    def fold(chunk):",
+            f"        {names} = state",
+            f"        for {item} in chunk:",
+            *(f"            {line}" for line in body),
+            f"        state[:] = ({names})",
+            "    def finish():",
+            f"        {names} = state",
+            f"        return None if first is None else ({result}, first)",
+            "    return fold, finish",
+        ]
+    )
 
 
 @dataclass

@@ -24,7 +24,8 @@ a prefix of a plan costing at most U, and the chosen plan is unchanged.
 Representation: relation subsets are interned integer bitmasks.  Every
 alias gets a bit position at construction; ``best``, the prune records,
 and ``SearchStats.survivor_totals`` are keyed by ``int`` masks, relation
-connectivity is a per-alias adjacency mask (``_connects`` is one AND),
+connectivity is a per-alias adjacency mask (a relation connects to a
+subset when one AND of the two is non-zero, in ``_candidate_extensions``),
 and factor applicability is a subset test on precomputed factor masks.
 Derived quantities the seed enumerator recomputed per candidate —
 subset cardinalities, composite tuple widths, factor selectivities,
@@ -434,9 +435,6 @@ class JoinSearch:
             )
             return connected
         return remaining  # Cartesian product cannot be deferred any further
-
-    def _connects(self, alias: str, mask: int) -> bool:
-        return bool(self._adjacency[self._bit_of[alias]] & mask)
 
     def _extend(self, mask: int, position: int) -> None:
         bit = 1 << position

@@ -27,12 +27,17 @@ starts from zeros, a page built from bytes (a disk read, recovery) derives
 it on first use, and :meth:`Page.clone` copies it.  Placement decisions are
 exactly those a full walk would make — the lowest empty slot is reused and
 compaction happens when free space alone is short.
+
+A writer that owns a page outright (a temporary list) places a whole run
+of records with one :meth:`Page.fill`, which leaves the bytes and the
+placement state that inserting them one at a time would.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterator, NamedTuple
+from itertools import accumulate
+from typing import Iterator, NamedTuple, Sequence
 
 from ..errors import PageFullError, RecordTooLargeError, StorageError
 
@@ -40,12 +45,13 @@ PAGE_SIZE = 4096
 _HEADER = struct.Struct(">HH")
 _SLOT = struct.Struct(">HH")
 HEADER_SIZE = _HEADER.size
-_SLOT_SIZE = _SLOT.size
+#: Directory bytes each record's slot takes.
+SLOT_SIZE = _SLOT.size
 
 #: Largest record an *empty* page can hold (header plus one slot removed).
 #: Anything bigger can never be placed, no matter how many fresh pages a
 #: caller retries on.
-USABLE_PAGE_BYTES = PAGE_SIZE - HEADER_SIZE - _SLOT_SIZE
+USABLE_PAGE_BYTES = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE
 
 #: ``_live_count`` of a page whose placement state is not derived yet.
 _UNKNOWN = -1
@@ -106,11 +112,11 @@ class Page:
         return self._header()[1]
 
     def _slot(self, slot: int) -> tuple[int, int]:
-        position = PAGE_SIZE - _SLOT_SIZE * (slot + 1)
+        position = PAGE_SIZE - SLOT_SIZE * (slot + 1)
         return _SLOT.unpack_from(self.data, position)
 
     def _set_slot(self, slot: int, offset: int, length: int) -> None:
-        position = PAGE_SIZE - _SLOT_SIZE * (slot + 1)
+        position = PAGE_SIZE - SLOT_SIZE * (slot + 1)
         _SLOT.pack_into(self.data, position, offset, length)
 
     def _occupied(self, slot: int) -> tuple[int, int]:
@@ -154,14 +160,14 @@ class Page:
     def _reclaimable(self, slot_count: int) -> int:
         """Free plus dead bytes (state already derived): the room a
         compaction would leave for new records."""
-        return PAGE_SIZE - _SLOT_SIZE * slot_count - HEADER_SIZE - self._live_bytes
+        return PAGE_SIZE - SLOT_SIZE * slot_count - HEADER_SIZE - self._live_bytes
 
     # -- space accounting -------------------------------------------------
 
     def free_space(self) -> int:
         """Contiguous bytes available for a new record plus its slot."""
         slot_count, free_ptr = self._header()
-        directory_start = PAGE_SIZE - _SLOT_SIZE * slot_count
+        directory_start = PAGE_SIZE - SLOT_SIZE * slot_count
         return max(0, directory_start - free_ptr)
 
     def dead_space(self) -> int:
@@ -190,7 +196,7 @@ class Page:
         slot_count = self.slot_count
         needed = record_size
         if self._empty_slot(slot_count) is None:
-            needed += _SLOT_SIZE
+            needed += SLOT_SIZE
         return self._reclaimable(slot_count) >= needed
 
     # -- record operations --------------------------------------------------
@@ -207,8 +213,8 @@ class Page:
             raise RecordTooLargeError(size, USABLE_PAGE_BYTES)
         slot_count, free_ptr = self._header()
         slot = self._empty_slot(slot_count)
-        needed = size + (0 if slot is not None else _SLOT_SIZE)
-        if PAGE_SIZE - _SLOT_SIZE * slot_count - free_ptr < needed:  # free space
+        needed = size + (0 if slot is not None else SLOT_SIZE)
+        if PAGE_SIZE - SLOT_SIZE * slot_count - free_ptr < needed:  # free space
             if self._reclaimable(slot_count) < needed:
                 raise PageFullError(
                     f"page {self.page_id}: need {needed} bytes, "
@@ -231,6 +237,52 @@ class Page:
             self._first_empty = slot
         self.dirty = True
         return slot
+
+    def fill(self, records: Sequence[bytes]) -> None:
+        """Append non-empty ``records`` in new slots after the last one,
+        writing the records region, the slot directory and the header once.
+
+        The page must hold no empty slot and no dead space (a fresh page,
+        or one only ever filled): :meth:`insert` would then place each
+        record in the next slot at the free pointer, and the bytes and
+        placement state left here are exactly those.  Raises
+        :class:`PageFullError` when the records do not all fit.
+        """
+        slot_count, free_ptr = self._header()
+        self._ensure_state()
+        if (
+            self._live_count != slot_count
+            or free_ptr - HEADER_SIZE != self._live_bytes
+        ):
+            raise StorageError(f"page {self.page_id}: fill needs a packed page")
+        if not all(records):
+            raise StorageError(f"page {self.page_id}: fill of an empty record")
+        lengths = [len(record) for record in records]
+        offsets = list(accumulate(lengths, initial=free_ptr))
+        end = offsets.pop()
+        count = slot_count + len(records)
+        directory_start = PAGE_SIZE - SLOT_SIZE * count
+        if end > directory_start:
+            raise PageFullError(
+                f"page {self.page_id}: need {end - free_ptr} bytes plus "
+                f"{len(records)} slots, have {self.free_space()}"
+            )
+        # The directory grows down from the page end: last slot first.
+        entries = [
+            value
+            for pair in zip(reversed(offsets), reversed(lengths))
+            for value in pair
+        ]
+        data = self.data
+        data[free_ptr:end] = b"".join(records)
+        data[directory_start : PAGE_SIZE - SLOT_SIZE * slot_count] = struct.pack(
+            f">{len(entries)}H", *entries
+        )
+        self._set_header(count, end)
+        self._first_empty = count
+        self._live_count = count
+        self._live_bytes = end - HEADER_SIZE
+        self.dirty = True
 
     def read(self, slot: int) -> bytes:
         """Return the record bytes at ``slot``; raises on empty slots."""
@@ -266,7 +318,7 @@ class Page:
     def directory(self) -> list[tuple[int, int]]:
         """``(offset, length)`` of every slot in slot order, read with one
         ``iter_unpack``; a length of 0 marks an empty slot."""
-        start = PAGE_SIZE - _SLOT_SIZE * self.slot_count
+        start = PAGE_SIZE - SLOT_SIZE * self.slot_count
         entries = list(_SLOT.iter_unpack(self.data[start:]))
         entries.reverse()  # the directory grows down from the page end
         return entries

@@ -5,29 +5,23 @@ import random
 import pytest
 
 from repro import Database
-from repro.datatypes import INTEGER, varchar
+from repro.datatypes import INTEGER
 from repro.engine.external_sort import ExternalSorter
-from repro.engine.rows import Row
-from repro.optimizer.bound import BoundColumn
 from repro.rss import StorageEngine
 from repro.sorting import merge_fan_in, merge_passes, temp_rows_per_page, workspace_rows
 from repro.workloads import load_rows
 
 
-def key_column(position=0):
-    return BoundColumn("T", position, f"C{position}", "T", INTEGER, 1)
-
-
 def make_rows(count, seed=0):
     rng = random.Random(seed)
-    return [Row(values={"T": (rng.randrange(10_000), i)}) for i in range(count)]
+    return [(rng.randrange(10_000), i) for i in range(count)]
 
 
 def sorter_for(storage, memory_rows, fan_in=None):
     return ExternalSorter(
         storage,
-        [("T", [INTEGER, INTEGER])],
-        [(key_column(), False)],
+        [INTEGER, INTEGER],
+        [(0, False)],
         memory_rows=memory_rows,
         fan_in=fan_in,
     )
@@ -60,8 +54,8 @@ class TestExternalSorter:
         storage = StorageEngine()
         sorter = sorter_for(storage, memory_rows=1000)
         rows = make_rows(100)
-        output = [r.values["T"][0] for r in sorter.sort(iter(rows))]
-        assert output == sorted(r.values["T"][0] for r in rows)
+        output = [r[0] for r in sorter.sort(iter(rows))]
+        assert output == sorted(r[0] for r in rows)
         assert sorter.initial_runs == 1
         assert sorter.merge_passes == 0
 
@@ -69,8 +63,8 @@ class TestExternalSorter:
         storage = StorageEngine()
         sorter = sorter_for(storage, memory_rows=50, fan_in=8)
         rows = make_rows(300)
-        output = [r.values["T"][0] for r in sorter.sort(iter(rows))]
-        assert output == sorted(r.values["T"][0] for r in rows)
+        output = [r[0] for r in sorter.sort(iter(rows))]
+        assert output == sorted(r[0] for r in rows)
         assert sorter.initial_runs == 6
         assert sorter.merge_passes == 1
 
@@ -78,16 +72,16 @@ class TestExternalSorter:
         storage = StorageEngine()
         sorter = sorter_for(storage, memory_rows=20, fan_in=2)
         rows = make_rows(300)
-        output = [r.values["T"][0] for r in sorter.sort(iter(rows))]
-        assert output == sorted(r.values["T"][0] for r in rows)
+        output = [r[0] for r in sorter.sort(iter(rows))]
+        assert output == sorted(r[0] for r in rows)
         assert sorter.initial_runs == 15
         assert sorter.merge_passes == 4  # ceil(log2(15))
 
     def test_stability_within_equal_keys(self):
         storage = StorageEngine()
         sorter = sorter_for(storage, memory_rows=1000)
-        rows = [Row(values={"T": (1, i)}) for i in range(50)]
-        output = [r.values["T"][1] for r in sorter.sort(iter(rows))]
+        rows = [(1, i) for i in range(50)]
+        output = [r[1] for r in sorter.sort(iter(rows))]
         assert output == list(range(50))
 
     def test_empty_input(self):
@@ -106,15 +100,15 @@ class TestExternalSorter:
         storage = StorageEngine()
         sorter = ExternalSorter(
             storage,
-            [("T", [INTEGER, INTEGER])],
-            [(key_column(), True)],
+            [INTEGER, INTEGER],
+            [(0, True)],
             memory_rows=30,
             fan_in=3,
         )
         rows = make_rows(200)
-        output = [r.values["T"][0] for r in sorter.sort(iter(rows))]
+        output = [r[0] for r in sorter.sort(iter(rows))]
         assert output == sorted(
-            (r.values["T"][0] for r in rows), reverse=True
+            (r[0] for r in rows), reverse=True
         )
 
     def test_rejects_tiny_workspace(self):

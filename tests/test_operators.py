@@ -4,7 +4,7 @@ import pytest
 
 from repro import Database
 from repro.datatypes import INTEGER, varchar
-from repro.engine.operators import _sort_rows
+from repro.engine.operators import _RowLayout, _sort_rows
 from repro.engine.rows import Row
 from repro.engine.temp import TempList
 from repro.optimizer.bound import BoundColumn
@@ -19,21 +19,21 @@ def column(alias, position):
 
 class TestTempList:
     def make_rows(self, count):
-        return [Row(values={"T": (i, f"name{i}")}) for i in range(count)]
+        return [(i, f"name{i}") for i in range(count)]
 
     def test_roundtrip(self):
         storage = StorageEngine()
-        temp = TempList(storage, [("T", [INTEGER, varchar(12)])])
+        temp = TempList(storage, [INTEGER, varchar(12)])
         rows = self.make_rows(10)
-        temp.build(rows)
+        temp.extend(rows)
         back = list(temp.scan())
-        assert [r.values["T"] for r in back] == [r.values["T"] for r in rows]
+        assert back == rows
 
     def test_counts_inserts_and_reads(self):
         storage = StorageEngine()
-        temp = TempList(storage, [("T", [INTEGER, varchar(12)])])
+        temp = TempList(storage, [INTEGER, varchar(12)])
         storage.counters.reset()
-        temp.build(self.make_rows(100))
+        temp.extend(self.make_rows(100))
         assert storage.counters.rsi_calls == 100
         build_fetches = storage.counters.page_fetches
         assert build_fetches >= 1
@@ -42,24 +42,25 @@ class TestTempList:
 
     def test_multi_page(self):
         storage = StorageEngine()
-        temp = TempList(storage, [("T", [INTEGER, varchar(12)])])
-        temp.build(self.make_rows(2000))
+        temp = TempList(storage, [INTEGER, varchar(12)])
+        temp.extend(self.make_rows(2000))
         assert temp.page_count() > 1
         assert len(list(temp.scan())) == 2000
 
     def test_drop_frees_pages(self):
         storage = StorageEngine()
-        temp = TempList(storage, [("T", [INTEGER, varchar(12)])])
-        temp.build(self.make_rows(50))
+        temp = TempList(storage, [INTEGER, varchar(12)])
+        temp.extend(self.make_rows(50))
         before = len(storage.store)
         temp.drop()
         assert len(storage.store) < before
 
     def test_missing_alias_encoded_as_nulls(self):
         storage = StorageEngine()
-        temp = TempList(storage, [("T", [INTEGER]), ("U", [INTEGER])])
-        temp.build([Row(values={"T": (1,)})])
-        row = next(temp.scan())
+        layout = _RowLayout([("T", [INTEGER]), ("U", [INTEGER])])
+        temp = TempList(storage, layout.datatypes)
+        temp.append(layout.flatten(Row(values={"T": (1,)})))
+        row = layout.wrap(next(temp.scan()))
         assert row.values["U"] == (None,)
 
 
