@@ -51,6 +51,34 @@ from .lint import lint_repo
 from .plan_check import PlanCheckError, Violation
 from .storage_check import check_storage
 
+#: Fused-engine paths no other corpus query reaches, each returning rows:
+#: a multi-relation join residual and an inner residual in the nested-loop
+#: match loop, a correlated inner filter that keeps the rescan probe,
+#: constant factors over a join (under COUNT and GROUP BY) and over a
+#: filtered scan, a computed DISTINCT over a filtered scan, and the
+#: aggregates the generated fold does not cover (a filtered scan,
+#: expression arguments over an index scan and over a sort, a sort of a
+#: join).
+FUSED_PATH_QUERIES = (
+    "SELECT D.DNAME, E.NAME FROM DEPT D, EMP E WHERE D.DNO = E.DNO "
+    "AND E.SAL + D.DNO > 800",
+    "SELECT D.DNAME, E.NAME FROM DEPT D, EMP E WHERE D.DNO = E.DNO "
+    "AND E.SAL + 0 > 700",
+    "SELECT D.DNAME, E.NAME FROM DEPT D, EMP E WHERE D.DNO = E.DNO "
+    "AND E.SAL > (SELECT AVG(SAL) FROM EMP X WHERE X.DNO = D.DNO)",
+    "SELECT COUNT(*) FROM EMP, DEPT WHERE EMP.DNO = DEPT.DNO "
+    "AND (SELECT COUNT(*) FROM JOB) > 0",
+    "SELECT DEPT.LOC, COUNT(*) FROM EMP, DEPT WHERE EMP.DNO = DEPT.DNO "
+    "AND (SELECT COUNT(*) FROM JOB) > 0 GROUP BY DEPT.LOC",
+    "SELECT NAME FROM EMP WHERE SAL + 0 > 900 AND (SELECT COUNT(*) FROM JOB) > 0",
+    "SELECT DISTINCT SAL / 100 FROM EMP WHERE SAL + 0 > 500",
+    "SELECT COUNT(*), MAX(SAL) FROM EMP WHERE SAL + 0 > 500",
+    "SELECT DNO, SUM(SAL + 1) FROM EMP GROUP BY DNO",
+    "SELECT NAME, SUM(SAL + 1) FROM EMP GROUP BY NAME",
+    "SELECT DEPT.LOC, COUNT(*) FROM EMP, DEPT WHERE EMP.DNO = DEPT.DNO "
+    "GROUP BY DEPT.LOC",
+)
+
 #: The EMP/DEPT/JOB corpus: one query per planner feature.
 EMPDEPT_QUERIES = (
     FIG1_QUERY,
@@ -87,6 +115,7 @@ EMPDEPT_QUERIES = (
     "SELECT NAME FROM EMP WHERE DNO NOT IN (1, 2, 3)",
     "SELECT DNAME FROM DEPT WHERE LOC IN ('DENVER', 'NYC', 'DENVER')",
     "SELECT NAME FROM EMP WHERE (DNO = 2 OR DNO = 5) AND (JOB = 1 OR SAL > 800)",
+    *FUSED_PATH_QUERIES,
 )
 
 #: (use_heuristic, use_interesting_orders) configurations to cover.
@@ -293,7 +322,7 @@ def _count_hash_joins(planned) -> int:
 
 def _audit_fused_query(
     db: Database, sql: str, violations: list[Violation]
-) -> tuple[int, int]:
+) -> int:
     """Execute ``sql`` under both engines and compare them.
 
     Every execution starts from a cold buffer on the *same* database, so
@@ -303,12 +332,10 @@ def _audit_fused_query(
     sequence, counter totals, and subquery evaluation cadence exactly.
     Row lists are compared as ordered sequences: a fused chain that
     reorders rows — even for a query with no ORDER BY — is a bug,
-    because fusion must be invisible.  Returns the number of fused
-    chains the plan compiled to and the number of hash joins in the
-    plan.
+    because fusion must be invisible.  Returns the number of hash joins
+    in the plan.
     """
     from ..engine.executor import Executor
-    from ..engine.fuse import describe_chains
 
     planned = db.plan(sql)
     runs = {}
@@ -358,7 +385,7 @@ def _audit_fused_query(
                 f"vs interp {ref_evals}",
             )
         )
-    return len(describe_chains(planned.root)), _count_hash_joins(planned)
+    return _count_hash_joins(planned)
 
 
 def hashjoin_corpus() -> list[tuple[Database, list[str]]]:
@@ -368,7 +395,8 @@ def hashjoin_corpus() -> list[tuple[Database, list[str]]]:
     join with a filtered build side (in-memory table), and a padded join
     of two relations whose build side exceeds the buffer pool (grace
     partitioning).  Both degenerate to inner rescans or full sorts
-    without a hash alternative.
+    without a hash alternative.  Each shape has one query with a join
+    residual, which the probe loop evaluates per match.
     """
     memory = build_database(
         [
@@ -418,6 +446,8 @@ def hashjoin_corpus() -> list[tuple[Database, list[str]]]:
                 "WHERE T1.J1 = T2.J1 AND T2.B = 3",
                 "SELECT T1.A, T2.B FROM T1, T2 "
                 "WHERE T1.J1 = T2.J1 AND T2.B = 3 ORDER BY T1.A",
+                "SELECT T1.A, T2.J1 FROM T1, T2 "
+                "WHERE T1.J1 = T2.J1 AND T2.B = 3 AND T1.A + T2.B > 5",
             ],
         ),
         (
@@ -425,6 +455,8 @@ def hashjoin_corpus() -> list[tuple[Database, list[str]]]:
             [
                 "SELECT G1.A, G2.B FROM G1, G2 WHERE G1.J1 = G2.J1",
                 "SELECT COUNT(*) FROM G1, G2 WHERE G1.J1 = G2.J1",
+                "SELECT G1.A, G2.B FROM G1, G2 "
+                "WHERE G1.J1 = G2.J1 AND G1.A + G2.B > 5",
             ],
         ),
     ]
@@ -435,7 +467,8 @@ def hashjoin_corpus() -> list[tuple[Database, list[str]]]:
 SORT_CORPUS_BUFFER = 4
 
 #: Sorts and aggregates over NULLs, VARCHAR and FLOAT keys, ascending,
-#: descending and mixed, with HAVING, DISTINCT and empty inputs.
+#: descending and mixed, with HAVING, DISTINCT, empty inputs and more
+#: groups than one output batch holds.
 SORT_QUERIES = (
     "SELECT I, K FROM S ORDER BY K DESC, I",
     "SELECT NAME, K, F FROM S WHERE K < 30 ORDER BY NAME DESC, F",
@@ -447,6 +480,8 @@ SORT_QUERIES = (
     "SELECT COUNT(*), SUM(F), MIN(K), MAX(NAME) FROM S WHERE K > 99",
     "SELECT K, NAME FROM S WHERE I < 0 ORDER BY NAME",
     "SELECT K, COUNT(*) FROM S WHERE I < 0 GROUP BY K",
+    # 1 500 groups: more than one batch of groups leaves the fold.
+    "SELECT I, COUNT(*), SUM(F) FROM S GROUP BY I",
 )
 
 
@@ -487,28 +522,22 @@ def check_fusion(queries: int = 40, seed: int = 662607) -> list[Violation]:
     """Differential audit of the fused engine against the interpreted one."""
     violations: list[Violation] = []
     executed = 0
-    chains = 0
     hash_joins = 0
     for db in empdept_databases():
         for sql in EMPDEPT_QUERIES:
-            audited, hashed = _audit_fused_query(db, sql, violations)
-            chains += audited
-            hash_joins += hashed
+            hash_joins += _audit_fused_query(db, sql, violations)
             executed += 1
     print(f"  empdept: {executed} queries: interp vs fused")
     generated = 0
     for db, batch in generated_batches(queries, seed):
         for sql in batch:
-            audited, hashed = _audit_fused_query(db, sql, violations)
-            chains += audited
-            hash_joins += hashed
+            hash_joins += _audit_fused_query(db, sql, violations)
             generated += 1
     print(f"  generated: {generated} queries: interp vs fused")
     hashed_queries = 0
     for db, batch in hashjoin_corpus():
         for sql in batch:
-            audited, hashed = _audit_fused_query(db, sql, violations)
-            chains += audited
+            hashed = _audit_fused_query(db, sql, violations)
             hash_joins += hashed
             hashed_queries += 1
             if not hashed:
@@ -523,13 +552,14 @@ def check_fusion(queries: int = 40, seed: int = 662607) -> list[Violation]:
     print(f"  hashjoin: {hashed_queries} queries: interp vs fused")
     db, sort_queries = sort_corpus()
     for sql in sort_queries:
-        chains += _audit_fused_query(db, sql, violations)[0]
+        _audit_fused_query(db, sql, violations)
     print(
         f"  sorts: {len(sort_queries)} queries at {SORT_CORPUS_BUFFER} pages: "
         "interp vs fused"
     )
+    audited = executed + generated + hashed_queries + len(sort_queries)
     print(
-        f"  {chains} fused chains and {hash_joins} hash joins audited "
+        f"  {audited} queries and {hash_joins} hash joins audited "
         "for order and counter fidelity"
     )
     return violations

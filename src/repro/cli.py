@@ -190,11 +190,11 @@ def main(argv: list[str] | None = None) -> int:
     N|--fault SPEC|--fault-smoke]`` the concurrent-serving stress harness
     instead of the shell.  ``--db PATH`` opens (or creates) a durable
     database backed by ``PATH``; any other arguments are read as SQL
-    script files before the interactive prompt starts.  Fault plans in ``REPRO_FAULTS`` (e.g.
-    ``pagetable.flip@1:crash``) are armed before the first statement.  A
-    bad setting (``REPRO_EXEC``, ``REPRO_FAULTS``), a
-    database path that cannot be opened, or a script that cannot be read
-    is reported as ``error: ...`` on stderr with exit status 2.
+    script files before the interactive prompt starts.  Fault plans in
+    ``REPRO_FAULTS`` (e.g. ``pagetable.flip@1:crash``) are armed before
+    the first statement.  A bad ``REPRO_FAULTS`` plan, a database path
+    that cannot be opened, or a script that cannot be read is reported as
+    ``error: ...`` on stderr with exit status 2.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "check":

@@ -83,12 +83,6 @@ def _check_cache_mode(mode: str) -> str:
     return mode
 
 
-def _check_exec_mode(mode: str | None) -> str | None:
-    # ``None`` defers to REPRO_EXEC, which must name a mode already.
-    resolve_exec_mode(mode)
-    return mode
-
-
 def _check_buffer_pages(pages: int) -> int:
     # The optimizer's buffer-fit tests and merge fan-in read it as a
     # whole number of pages.
@@ -128,7 +122,7 @@ class Database:
         _check_buffer_pages(buffer_pages)
         _check_w(w)
         _check_cache_mode(subquery_cache_mode)
-        _check_exec_mode(exec_mode)
+        resolve_exec_mode(exec_mode)
         _check_workers(workers)
         #: ``path`` opts into durability: statements commit to a
         #: shadow-paged backing file, and re-opening the same path recovers
@@ -188,13 +182,13 @@ class Database:
     def exec_mode(self) -> str | None:
         """The engine: ``"fused"`` per-batch pipelines, ``"interp"`` the
         reference interpreter, or ``"parallel"``, an accepted spelling of
-        ``"fused"``.  ``None`` reads ``REPRO_EXEC`` per statement (default
-        fused)."""
+        ``"fused"``.  ``None`` means fused."""
         return self._exec_mode
 
     @exec_mode.setter
     def exec_mode(self, value: str | None) -> None:
-        self._exec_mode = _check_exec_mode(value)
+        resolve_exec_mode(value)
+        self._exec_mode = value
 
     @property
     def workers(self) -> int | None:

@@ -35,7 +35,7 @@ queries are preserved exactly; ``tests/test_compiled_eval.py`` gates the
 equivalence differentially against ``evaluate()``.  Passing
 ``interpret=True`` makes every compiled program a thin wrapper over the
 reference interpreter, which is how the differential tests and
-``REPRO_EXEC=interp`` runs drive both paths through identical operators.
+``exec_mode="interp"`` runs drive both paths through identical operators.
 """
 
 from __future__ import annotations

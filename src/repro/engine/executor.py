@@ -12,16 +12,16 @@ experiment.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ..catalog.catalog import Catalog
 from ..errors import ExecutionError
 from ..optimizer.bound import BoundQueryBlock, BoundSubquery
+from ..optimizer.plan import DistinctNode, ProjectNode
 from ..optimizer.planner import PlannedStatement
 from ..rss.storage import StorageEngine
 from .evaluator import EvalEnv, evaluate
-from .fuse import output_tuples
+from .fuse import fused_rows, output_tuples
 from .operators import ExecContext, iterate
 from .rows import OUTPUT_ALIAS
 
@@ -58,16 +58,14 @@ SUBQUERY_CACHE_MODES = ("prev", "none", "memo")
 
 
 def resolve_exec_mode(exec_mode: str | None = None) -> str:
-    """The execution mode: ``"fused"`` (default), ``"parallel"`` (the same
-    engine), or ``"interp"``.
+    """The execution mode: ``"fused"`` (the default, for ``None``),
+    ``"parallel"`` (the same engine), or ``"interp"``.
 
-    ``None`` falls back to the ``REPRO_EXEC`` environment variable, letting
-    any entry point A/B the fused pipeline engine against the reference
-    interpreter without code changes.  Anything else — including a typo —
-    raises a :class:`ValueError` naming the valid modes rather than
-    silently falling through to a default engine.
+    Anything else — including a typo — raises a :class:`ValueError`
+    naming the valid modes rather than silently falling through to a
+    default engine.
     """
-    mode = exec_mode or os.environ.get("REPRO_EXEC", "fused")
+    mode = exec_mode or "fused"
     if mode not in VALID_EXEC_MODES:
         raise ValueError(
             f"unknown exec mode {mode!r}; valid modes: "
@@ -80,8 +78,7 @@ class Runtime:
     """Cross-block execution services for one statement.
 
     ``exec_mode`` arrives already resolved (one of
-    :data:`VALID_EXEC_MODES`): the :class:`Executor` resolves arguments
-    and environment once.
+    :data:`VALID_EXEC_MODES`): the :class:`Executor` resolves it once.
     """
 
     def __init__(
@@ -95,7 +92,6 @@ class Runtime:
         if subquery_cache_mode not in SUBQUERY_CACHE_MODES:
             raise ValueError(f"bad subquery_cache_mode {subquery_cache_mode!r}")
         self.interpret = exec_mode == "interp"
-        self.fused = not self.interpret
         self.storage = storage
         self.catalog = catalog
         self.planned = planned
@@ -176,14 +172,13 @@ class Runtime:
             self.evaluation_counts.get(block.block_id, 0) + 1
         )
         ctx = _context_for(self, planned)
-        if ctx.fused:
+        if ctx.interpret:
             return [
-                values[0]
-                for values in output_tuples(planned.root, ctx, outer=env)
+                row.values[OUTPUT_ALIAS][0]
+                for row in iterate(planned.root, ctx, outer=env)
             ]
         return [
-            row.values[OUTPUT_ALIAS][0]
-            for row in iterate(planned.root, ctx, outer=env)
+            values[0] for values in output_tuples(planned.root, ctx, outer=env)
         ]
 
     def _evaluate_scalar(self, block: BoundQueryBlock, env: EvalEnv | None) -> object:
@@ -214,7 +209,6 @@ def _context_for(runtime: Runtime, planned: PlannedStatement) -> ExecContext:
         runtime=runtime,
         schemas=schemas,
         interpret=runtime.interpret,
-        fused=runtime.fused,
     )
 
 
@@ -242,13 +236,13 @@ class Executor:
         )
         self.last_runtime = runtime
         ctx = _context_for(runtime, planned)
-        if ctx.fused:
-            rows = list(output_tuples(planned.root, ctx))
-        else:
+        if ctx.interpret:
             rows = [
                 row.values[OUTPUT_ALIAS]
                 for row in iterate(planned.root, ctx, outer=None)
             ]
+        else:
+            rows = list(output_tuples(planned.root, ctx))
         return QueryResult(columns=list(planned.output_names), rows=rows)
 
     def execute_rows(self, planned: PlannedStatement):
@@ -259,9 +253,9 @@ class Executor:
         )
         self.last_runtime = runtime
         node = planned.root
-        from ..optimizer.plan import DistinctNode, ProjectNode
-
         while isinstance(node, (ProjectNode, DistinctNode)):
             node = node.child
         ctx = _context_for(runtime, planned)
-        return iterate(node, ctx, outer=None)
+        if ctx.interpret:
+            return iterate(node, ctx, outer=None)
+        return fused_rows(node, ctx)

@@ -3,12 +3,20 @@
 The generator-per-operator engine in :mod:`repro.engine.operators` pays a
 Python frame hand-off for every tuple crossing every operator — the exact
 tuple-at-a-time tax the paper's W·RSICARD term models.  This module walks
-a physical plan once, identifies maximal fusible chains
-(``Scan→Filter*→Project``), and compiles each into a **single driver
+a physical plan once (:func:`_build_fused`), identifies maximal fusible
+chains (``Scan→Filter*``, with the block's ``Project`` on top when the
+chain is the whole block), and compiles each into a **single driver
 closure** that rides the page-aligned ``batches()`` interface of
 :mod:`repro.rss.scan`: one loop consumes a whole batch, evaluating the
 residual, filter, and projection closures inline with zero intermediate
 generators.
+
+Every driver below a ``Project`` yields batches of composite ``Row``s;
+the ``Project`` at a block's root (and a ``Distinct`` above it) yields
+batches of bare output tuples, which is all the statement executor and
+subquery materialization read.  When the select list is plain columns
+of a scan's or a single-alias sort's value tuples, the projection is one
+``itemgetter`` per tuple and no ``Row`` is built at all.
 
 Pipeline breakers terminate chains and couple them batch-at-a-time:
 
@@ -49,7 +57,7 @@ batched stream here is fully consumed — the only partial consumer in the
 engine (the merge-join inner) stays on the per-tuple path.
 
 Drivers are compiled once per plan node and cached on
-``PlanNode.compiled`` (keys ``"fused"``, ``"fused_out"`` and, for a sort,
+``PlanNode.compiled`` (key ``"fused"`` and, for a sort,
 ``"fused_sorted"``); they capture only compiled programs and plan
 constants, never an execution context, so a cached plan re-executes with
 fresh runtimes.
@@ -57,7 +65,6 @@ fresh runtimes.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Iterator
@@ -107,14 +114,15 @@ from .operators import (
     open_scan,
     sort_rows,
 )
-from .rows import AGGREGATE_ALIAS, OUTPUT_ALIAS, Row
+from .rows import AGGREGATE_ALIAS, Row
 
 #: Rows per re-emitted batch downstream of a pipeline breaker.
 BREAKER_BATCH_SIZE = 1024
 
 #: A compiled batch driver: executes one plan subtree against a context,
-#: yielding lists of composite rows.
-BatchDriver = Callable[[ExecContext, "EvalEnv | None"], Iterator[list[Row]]]
+#: yielding lists of composite rows (of bare output tuples at a
+#: ``Project`` or ``Distinct``).
+BatchDriver = Callable[[ExecContext, "EvalEnv | None"], Iterator[list]]
 
 #: A compiled driver yielding lists of one relation's bare value tuples.
 ValuesDriver = Callable[[ExecContext, "EvalEnv | None"], Iterator[list[tuple]]]
@@ -125,47 +133,28 @@ ValuesDriver = Callable[[ExecContext, "EvalEnv | None"], Iterator[list[tuple]]]
 # ---------------------------------------------------------------------------
 
 
-def fused_batches(
-    node: PlanNode, ctx: ExecContext, outer: EvalEnv | None = None
-) -> Iterator[list[Row]]:
-    """Execute a plan subtree through its fused per-batch drivers."""
-    return _fused_program(node, ctx)(ctx, outer)
-
-
 def fused_rows(
     node: PlanNode, ctx: ExecContext, outer: EvalEnv | None = None
 ) -> Iterator[Row]:
-    """Row stream over :func:`fused_batches`.
+    """Composite rows (with TIDs) of a plan subtree below its projection.
 
     Laziness is batch-granular: pulling one row surfaces (and charges RSI
-    for) the whole batch it arrived in.  Every consumer reached through
-    :func:`repro.engine.operators.iterate` — statement execution, DML row
-    collection, subquery materialization — consumes its stream fully, so
-    the totals are identical to tuple-at-a-time iteration.  Partial
-    consumers needing an exact per-tuple trace (the merge-join inner) use
-    :func:`_lazy_rows` instead.
+    for) the whole batch it arrived in.  Every caller — DML row
+    collection, a sort's input — consumes its stream fully, so the totals
+    are identical to tuple-at-a-time iteration.  Partial consumers needing
+    an exact per-tuple trace (the merge-join inner) use :func:`_lazy_rows`
+    instead.
     """
-    return chain.from_iterable(fused_batches(node, ctx, outer))
+    return chain.from_iterable(_fused_program(node, ctx)(ctx, outer))
 
 
 def output_tuples(
     node: PlanNode, ctx: ExecContext, outer: EvalEnv | None = None
 ) -> Iterator[tuple]:
-    """Bare ``__out__`` tuples of a plan whose consumer reads only them.
-
-    The top-level executor and subquery materialization never look at a
-    projected row's alias tuples or TIDs, so their chains skip composite
-    ``Row`` construction entirely and emit output tuples straight from
-    decoded storage tuples.
-    """
-    return chain.from_iterable(_output_program(node, ctx)(ctx, outer))
-
-
-def describe_chains(node: PlanNode) -> list[str]:
-    """One line per fused pipeline stage of a plan (for ``repro check``)."""
-    chains: list[str] = []
-    _collect_chains(node, chains)
-    return chains
+    """Bare ``__out__`` tuples of a block's root (a ``Project``, or a
+    ``Distinct`` over one): what the statement executor and subquery
+    materialization read."""
+    return chain.from_iterable(_fused_program(node, ctx)(ctx, outer))
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +173,29 @@ def _build_fused(node: PlanNode, ctx: ExecContext) -> BatchDriver:
     """Compile one plan subtree into its batch driver.
 
     Dispatches on every plan node type (enforced by the
-    ``walker-not-exhaustive`` lint rule): chain heads collapse through
-    :func:`_collapse`, breakers get coupling drivers.
+    ``walker-not-exhaustive`` lint rule): a block's ``Project`` fuses
+    with the ``Filter*`` chain below it into one output-tuple driver,
+    other ``Filter*`` chains collapse through :func:`_collapse`, breakers
+    get coupling drivers.
     """
-    if isinstance(node, (ProjectNode, FilterNode, ScanNode)):
-        project, filters, bottom = _collapse(node)
+    if isinstance(node, ProjectNode):
+        filters, bottom = _collapse(node.child)
         if isinstance(bottom, ScanNode):
-            return _scan_chain_driver(bottom, filters, project, ctx)
+            return _scan_output_driver(bottom, filters, node, ctx)
+        if not filters and isinstance(bottom, SortNode):
+            columns = _sorted_columns_driver(bottom, node, ctx)
+            if columns is not None:
+                return columns
         preds = [_program(f, ctx, _build_filter) for f in filters]
-        fns = None if project is None else _program(project, ctx, _build_project)
-        source = _fused_program(bottom, ctx)
-        return _row_chain_driver(source, preds, fns)
+        return _row_output_driver(_fused_program(bottom, ctx), preds, node, ctx)
+    if isinstance(node, DistinctNode):
+        return _distinct_driver(node, ctx)
+    if isinstance(node, (FilterNode, ScanNode)):
+        filters, bottom = _collapse(node)
+        if isinstance(bottom, ScanNode):
+            return _scan_chain_driver(bottom, filters, ctx)
+        preds = [_program(f, ctx, _build_filter) for f in filters]
+        return _filter_driver(_fused_program(bottom, ctx), preds)
     if isinstance(node, NestedLoopJoinNode):
         return _nested_loop_driver(node, ctx)
     if isinstance(node, MergeJoinNode):
@@ -205,29 +206,20 @@ def _build_fused(node: PlanNode, ctx: ExecContext) -> BatchDriver:
         return _sort_driver(node, ctx)
     if isinstance(node, AggregateNode):
         return _aggregate_driver(node, ctx)
-    if isinstance(node, DistinctNode):
-        return _distinct_driver(node, ctx)
     raise ExecutionError(f"no fused driver for plan node {type(node).__name__}")
 
 
-def _collapse(
-    node: PlanNode,
-) -> tuple[ProjectNode | None, list[FilterNode], PlanNode]:
-    """Split ``Project?→Filter*→X`` into its fusible stages.
+def _collapse(node: PlanNode) -> tuple[list[FilterNode], PlanNode]:
+    """Split ``Filter*→X`` into its filters and ``X``.
 
     Filters are returned bottom-up — the order the reference operators
     evaluate them in, which subquery-bearing factors must keep.
     """
-    project: ProjectNode | None = None
-    if isinstance(node, ProjectNode):
-        project = node
-        node = node.child
     filters: list[FilterNode] = []
     while isinstance(node, FilterNode):
         filters.append(node)
         node = node.child
-    filters.reverse()
-    return project, filters, node
+    return filters[::-1], node
 
 
 def _combine(preds) -> Callable[[EvalEnv], bool] | None:
@@ -314,31 +306,24 @@ def _scan_driver(scan_node: ScanNode, process, ctx: ExecContext) -> BatchDriver:
     return driver
 
 
-def _chain_closures(
-    scan_node: ScanNode,
-    filters: list[FilterNode],
-    project: ProjectNode | None,
-    ctx: ExecContext,
-):
-    """A chain's combined predicate and projection closures (or ``None``)."""
+def _chain_test(
+    scan_node: ScanNode, filters: list[FilterNode], ctx: ExecContext
+) -> Callable[[EvalEnv], bool] | None:
+    """A chain's scan residual and filters as one predicate (or ``None``)."""
     preds = [_program(scan_node, ctx, _build_scan).residual]
     preds.extend(_program(f, ctx, _build_filter) for f in filters)
-    fns = None if project is None else _program(project, ctx, _build_project)
-    return _combine(preds), fns
+    return _combine(preds)
 
 
 def _scan_chain_driver(
-    scan_node: ScanNode,
-    filters: list[FilterNode],
-    project: ProjectNode | None,
-    ctx: ExecContext,
+    scan_node: ScanNode, filters: list[FilterNode], ctx: ExecContext
 ) -> BatchDriver:
-    """The core fusion: ``Scan→Filter*→Project?`` as one loop per chunk,
-    in four flavors by which of the predicate and projection exist."""
+    """The core fusion: ``Scan→Filter*`` as one loop per chunk, emitting
+    composite rows with TIDs."""
     alias = scan_node.alias
-    test, fns = _chain_closures(scan_node, filters, project, ctx)
+    test = _chain_test(scan_node, filters, ctx)
 
-    if test is None and fns is None:
+    if test is None:
 
         def process(env: EvalEnv, chunk):
             return [
@@ -346,7 +331,7 @@ def _scan_chain_driver(
                 for tid, values in chunk
             ]
 
-    elif fns is None:
+    else:
 
         def process(env: EvalEnv, chunk):
             out = []
@@ -358,94 +343,16 @@ def _scan_chain_driver(
                     append(row)
             return out
 
-    elif test is None:
-
-        def process(env: EvalEnv, chunk):
-            out = []
-            append = out.append
-            for tid, values in chunk:
-                tids = {alias: tid}
-                env.row = Row(values={alias: values}, tids=tids)
-                append(
-                    Row(
-                        values={
-                            alias: values,
-                            OUTPUT_ALIAS: tuple([fn(env) for fn in fns]),
-                        },
-                        tids=tids,
-                    )
-                )
-            return out
-
-    else:
-
-        def process(env: EvalEnv, chunk):
-            out = []
-            append = out.append
-            for tid, values in chunk:
-                tids = {alias: tid}
-                env.row = Row(values={alias: values}, tids=tids)
-                if test(env):
-                    append(
-                        Row(
-                            values={
-                                alias: values,
-                                OUTPUT_ALIAS: tuple([fn(env) for fn in fns]),
-                            },
-                            tids=tids,
-                        )
-                    )
-            return out
-
     return _scan_driver(scan_node, process, ctx)
 
 
-def _row_chain_driver(
-    source: BatchDriver, preds, fns
-) -> BatchDriver:
-    """``Filter*→Project?`` applied over a breaker's batch stream in one
-    loop per batch (no per-operator generators)."""
+def _filter_driver(source: BatchDriver, preds) -> BatchDriver:
+    """``Filter*`` over a breaker's batch stream in one loop per batch
+    (a constant factor over a join, an aggregate or a sort; the planner
+    builds a ``Filter`` only with predicates, so there is a test)."""
     test = _combine(preds)
-    if test is None and fns is None:
-        return source
 
-    if fns is None:
-
-        def filter_driver(ctx: ExecContext, outer: EvalEnv | None):
-            env = ctx.env(Row(), outer)
-            for batch in source(ctx, outer):
-                out = []
-                append = out.append
-                for row in batch:
-                    env.row = row
-                    if test(env):
-                        append(row)
-                if out:
-                    yield out
-
-        return filter_driver
-
-    if test is None:
-
-        def project_driver(ctx: ExecContext, outer: EvalEnv | None):
-            env = ctx.env(Row(), outer)
-            for batch in source(ctx, outer):
-                out = []
-                append = out.append
-                for row in batch:
-                    env.row = row
-                    output = tuple([fn(env) for fn in fns])
-                    append(
-                        Row(
-                            values={**row.values, OUTPUT_ALIAS: output},
-                            tids=row.tids,
-                        )
-                    )
-                yield out
-
-        return project_driver
-
-    def chain_driver(ctx: ExecContext, outer: EvalEnv | None):
+    def driver(ctx: ExecContext, outer: EvalEnv | None):
         env = ctx.env(Row(), outer)
         for batch in source(ctx, outer):
             out = []
@@ -453,17 +360,11 @@ def _row_chain_driver(
             for row in batch:
                 env.row = row
                 if test(env):
-                    output = tuple([fn(env) for fn in fns])
-                    append(
-                        Row(
-                            values={**row.values, OUTPUT_ALIAS: output},
-                            tids=row.tids,
-                        )
-                    )
+                    append(row)
             if out:
                 yield out
 
-    return chain_driver
+    return driver
 
 
 def _values_chain_driver(
@@ -471,7 +372,7 @@ def _values_chain_driver(
 ) -> ValuesDriver:
     """``Filter*→Scan`` emitting the passing rows' bare value tuples."""
     alias = scan_node.alias
-    test, __ = _chain_closures(scan_node, filters, None, ctx)
+    test = _chain_test(scan_node, filters, ctx)
 
     if test is None:
 
@@ -783,14 +684,14 @@ def _hash_join_driver(node: HashJoinNode, ctx: ExecContext) -> BatchDriver:
     through the same counted scan consumption as the reference operator,
     so the fetch trace and RSI totals are identical; each probed bucket
     charges one RSI call per delivered tuple, exactly like the per-tuple
-    path.  Grace-partitioned plans run the serial partitioned code in
-    every mode and only re-batch its output here.
+    path.  Grace-partitioned plans run the per-operator partitioned code
+    (:func:`~repro.engine.operators.iterate`) in both engines and only
+    re-batch its output here.
     """
     if node.partitions > 1:
 
         def grace_driver(ctx: ExecContext, outer: EvalEnv | None):
-            serial = replace(ctx, fused=False)
-            yield from _rebatch(iterate(node, serial, outer))
+            yield from _rebatch(iterate(node, ctx, outer))
 
         return grace_driver
 
@@ -879,10 +780,8 @@ def _lazy_rows(
     is already a single compiled loop, so nothing is lost.
     """
     if isinstance(node, SortNode):
-        return sort_rows(
-            node, ctx, chain.from_iterable(fused_batches(node.child, ctx, outer))
-        )
-    return iterate(node, replace(ctx, fused=False), outer)
+        return sort_rows(node, ctx, fused_rows(node.child, ctx, outer))
+    return iterate(node, ctx, outer)
 
 
 def _sort_driver(node: SortNode, ctx: ExecContext) -> BatchDriver:
@@ -927,8 +826,8 @@ def _build_sorted_values(
     batches, read back a page at a time as the batches need them: the
     same rows, page fetches and temp-list drop point as the ``Row`` path.
     """
-    project, filters, bottom = _collapse(node.child)
-    if project is not None or not isinstance(bottom, ScanNode):
+    filters, bottom = _collapse(node.child)
+    if not isinstance(bottom, ScanNode):
         return None
     alias = bottom.alias
     if any(column.alias != alias for column, __ in node.keys):
@@ -1075,6 +974,7 @@ def _fold_driver(
 
 
 def _distinct_driver(node: DistinctNode, ctx: ExecContext) -> BatchDriver:
+    """The first occurrence of each output tuple below, in input order."""
     source = _fused_program(node.child, ctx)
 
     def driver(ctx: ExecContext, outer: EvalEnv | None):
@@ -1083,11 +983,10 @@ def _distinct_driver(node: DistinctNode, ctx: ExecContext) -> BatchDriver:
         for batch in source(ctx, outer):
             out = []
             append = out.append
-            for row in batch:
-                key = row.values[OUTPUT_ALIAS]
-                if key not in seen:
-                    add(key)
-                    append(row)
+            for item in batch:
+                if item not in seen:
+                    add(item)
+                    append(item)
             if out:
                 yield out
 
@@ -1095,58 +994,8 @@ def _distinct_driver(node: DistinctNode, ctx: ExecContext) -> BatchDriver:
 
 
 # ---------------------------------------------------------------------------
-# output-tuple fast path
+# projection: output tuples
 # ---------------------------------------------------------------------------
-
-
-def _output_program(node: PlanNode, ctx: ExecContext) -> BatchDriver:
-    cache = node.compiled
-    if "fused_out" not in cache:
-        cache["fused_out"] = _build_output(node, ctx)
-    return cache["fused_out"]
-
-
-def _build_output(node: PlanNode, ctx: ExecContext) -> BatchDriver:
-    """A driver yielding batches of bare output tuples (no ``Row``s)."""
-    if isinstance(node, DistinctNode):
-        source = _output_program(node.child, ctx)
-
-        def distinct_driver(ctx: ExecContext, outer: EvalEnv | None):
-            seen: set[tuple] = set()
-            add = seen.add
-            for batch in source(ctx, outer):
-                out = []
-                append = out.append
-                for item in batch:
-                    if item not in seen:
-                        add(item)
-                        append(item)
-                if out:
-                    yield out
-
-        return distinct_driver
-    if isinstance(node, ProjectNode):
-        project, filters, bottom = _collapse(node)
-        assert project is not None
-        if isinstance(bottom, ScanNode):
-            return _scan_output_driver(bottom, filters, project, ctx)
-        if not filters and isinstance(bottom, SortNode):
-            columns = _sorted_columns_driver(bottom, project, ctx)
-            if columns is not None:
-                return columns
-        preds = [_program(f, ctx, _build_filter) for f in filters]
-        return _row_output_driver(
-            _fused_program(bottom, ctx), preds, project, ctx
-        )
-
-    # No projection at the root (defensive): read the materialized alias.
-    source = _fused_program(node, ctx)
-
-    def alias_driver(ctx: ExecContext, outer: EvalEnv | None):
-        for batch in source(ctx, outer):
-            yield [row.values[OUTPUT_ALIAS] for row in batch]
-
-    return alias_driver
 
 
 def _scan_output_driver(
@@ -1164,7 +1013,8 @@ def _scan_output_driver(
     environment.
     """
     alias = scan_node.alias
-    test, fns = _chain_closures(scan_node, filters, project, ctx)
+    test = _chain_test(scan_node, filters, ctx)
+    fns = _program(project, ctx, _build_project)
     positions = _column_positions(project.exprs, alias)
 
     if test is None and positions is not None:
@@ -1265,48 +1115,3 @@ def _row_output_driver(
                 yield out
 
     return chain_driver
-
-
-# ---------------------------------------------------------------------------
-# plan inspection (repro check --fusion)
-# ---------------------------------------------------------------------------
-
-
-def _collect_chains(node: PlanNode, chains: list[str]) -> None:
-    if isinstance(node, (ProjectNode, FilterNode, ScanNode)):
-        project, filters, bottom = _collapse(node)
-        label_parts: list[str] = []
-        if project is not None:
-            label_parts.append("project")
-        if filters:
-            label_parts.append(f"filter x{len(filters)}")
-        if isinstance(bottom, ScanNode):
-            suffix = " +residual" if bottom.residual else ""
-            label_parts.append(f"scan {bottom.alias}{suffix}")
-            chains.append(" <- ".join(label_parts))
-            return
-        if label_parts:
-            chains.append(" <- ".join(label_parts) + " <- [breaker batches]")
-        _collect_chains(bottom, chains)
-        return
-    if isinstance(node, MergeJoinNode):
-        chains.append("merge join (fused outer, tuple-at-a-time inner)")
-        _collect_chains(node.outer, chains)
-        if isinstance(node.inner, SortNode):
-            _collect_chains(node.inner.child, chains)
-        return
-    if isinstance(node, NestedLoopJoinNode):
-        chains.append(
-            f"nested-loop join (inlined inner scan {node.inner.alias})"
-        )
-        _collect_chains(node.outer, chains)
-        return
-    if isinstance(node, HashJoinNode):
-        grace = f", grace x{node.partitions}" if node.partitions > 1 else ""
-        chains.append(
-            f"hash join (build {node.inner.alias}{grace}, fused probe)"
-        )
-        _collect_chains(node.outer, chains)
-        return
-    for child in node.children():
-        _collect_chains(child, chains)

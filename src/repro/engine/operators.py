@@ -65,12 +65,11 @@ class ExecContext:
 
     runtime: object  # Runtime (duck-typed to avoid an import cycle)
     schemas: dict[str, list[DataType]]
-    #: When set, compiled programs are thin wrappers over the reference
-    #: interpreter — identical operators, interpreted expressions.
+    #: The engine: set for ``interp``, whose compiled programs are thin
+    #: wrappers over the reference interpreter; clear for the fused
+    #: per-batch drivers of :mod:`repro.engine.fuse`, which run the
+    #: operators below only for a grace hash join or a merge-join inner.
     interpret: bool = False
-    #: When set, plans execute through the fused per-batch drivers of
-    #: :mod:`repro.engine.fuse` instead of one generator per operator.
-    fused: bool = False
 
     @property
     def storage(self):
@@ -85,18 +84,13 @@ class ExecContext:
 def iterate(
     node: PlanNode, ctx: ExecContext, outer: EvalEnv | None = None
 ) -> Iterator[Row]:
-    """Execute a plan node, yielding composite rows.
+    """Execute a plan node one generator per operator, yielding composite
+    rows.
 
-    In fused mode the whole subtree is handed to the pipeline compiler,
-    which drives maximal Scan→Filter→Project chains as single per-batch
-    closures; the generator-per-operator dispatch below is the
-    ``interp`` reference path, and the per-tuple path the fused engine
-    keeps for grace hash joins and merge-join inners.
+    This is the ``interp`` reference engine.  The fused engine
+    (:mod:`repro.engine.fuse`) calls it only where it needs the exact
+    per-tuple path: a grace hash join and a merge join's inner input.
     """
-    if ctx.fused:
-        from .fuse import fused_rows
-
-        return fused_rows(node, ctx, outer)
     if isinstance(node, ScanNode):
         return _iter_scan(node, ctx, outer)
     if isinstance(node, FilterNode):

@@ -133,19 +133,15 @@ class TestMain:
     @pytest.mark.parametrize(
         "setting,expected",
         [
-            ("REPRO_EXEC=bogus", "unknown exec mode 'bogus'"),
-            ("REPRO_EXEC=compiled", "valid modes: fused, parallel, interp"),
-            ("REPRO_EXEC=parallel:2", "unknown exec mode 'parallel:2'"),
             ("REPRO_FAULTS=nosuch@1:error", "unknown fault point 'nosuch'"),
             ("--db", "No such file or directory"),
         ],
-        ids=["exec", "exec-retired", "workers", "faults", "db-path"],
+        ids=["faults", "db-path"],
     )
     def test_bad_setting_is_reported_not_raised(
         self, tmp_path, monkeypatch, capsys, setting, expected
     ):
-        for name in ("REPRO_EXEC", "REPRO_FAULTS"):
-            monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         script = tmp_path / "empty.sql"
         script.write_text("")
         argv = [str(script)]

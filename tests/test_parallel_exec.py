@@ -12,9 +12,9 @@ fetches), and working DML, including under a buffer smaller than the
 hashed inner.  A hypothesis predicate sweep and a fault-injection matrix
 ride on top, plus the shape of the strategy (only an eligible nested-loop
 join builds buckets, and only once it has an outer row) and the mode
-plumbing: ``"parallel"`` runs the fused engine, unknown ``REPRO_EXEC``
-values and bad worker counts fail loudly, and the retired ``parallel:N``
-suffix and ``REPRO_WORKERS`` variable are gone.
+plumbing: ``"parallel"`` runs the fused engine, unknown modes and bad
+worker counts fail loudly, and the retired ``parallel:N`` suffix and
+``REPRO_WORKERS`` variable are gone.
 """
 
 from __future__ import annotations
@@ -334,8 +334,7 @@ def test_empty_outer_decodes_no_inner_page(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_unknown_exec_mode_lists_valid_modes(monkeypatch):
-    monkeypatch.delenv("REPRO_EXEC", raising=False)
+def test_unknown_exec_mode_lists_valid_modes():
     with pytest.raises(ValueError) as caught:
         resolve_exec_mode("vectorized")
     message = str(caught.value)
@@ -344,17 +343,10 @@ def test_unknown_exec_mode_lists_valid_modes(monkeypatch):
         assert mode in message
 
 
-def test_unknown_exec_mode_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC", "turbo")
-    with pytest.raises(ValueError, match="valid modes"):
-        Database().executor()
-
-
 def test_parallel_worker_suffix_and_env(monkeypatch):
     """The retired ``parallel:N`` suffix is an unknown mode, and
     ``REPRO_WORKERS`` is read by nothing; ``parallel`` itself is an
     accepted spelling of the fused engine."""
-    monkeypatch.delenv("REPRO_EXEC", raising=False)
     with pytest.raises(ValueError, match="unknown exec mode 'parallel:3'"):
         resolve_exec_mode("parallel:3")
     monkeypatch.setenv("REPRO_WORKERS", "0")
@@ -364,7 +356,7 @@ def test_parallel_worker_suffix_and_env(monkeypatch):
     db.execute("INSERT INTO T VALUES (1)")
     executor = db.executor()
     assert executor.execute(db.plan("SELECT A FROM T")).rows == [(1,)]
-    assert executor.last_runtime.fused
+    assert not executor.last_runtime.interpret
     db.close()
 
 
@@ -378,11 +370,10 @@ def test_parallel_worker_suffix_and_env(monkeypatch):
         ("parallel", "many"),
     ],
 )
-def test_bad_worker_counts_fail_loudly(monkeypatch, mode, workers):
+def test_bad_worker_counts_fail_loudly(mode, workers):
     """A retired ``mode:N`` spelling or a worker count that is not a
     positive integer raises a ``ValueError`` naming it, never a leaked
     ``TypeError``."""
-    monkeypatch.delenv("REPRO_EXEC", raising=False)
     bad = mode if workers is None else workers
     with pytest.raises(ValueError, match=repr(bad)):
         Database(exec_mode=mode, workers=workers)
@@ -394,10 +385,9 @@ def test_database_rejects_nonpositive_workers():
 
 
 @pytest.mark.parametrize("mode", ("fuzed", "parallel:0", "fused:2"))
-def test_database_rejects_bad_exec_mode_at_construction(monkeypatch, mode):
+def test_database_rejects_bad_exec_mode_at_construction(mode):
     """A mode typo fails before any INSERT can commit, like ``workers``
     — not at the first SELECT."""
-    monkeypatch.delenv("REPRO_EXEC", raising=False)
     with pytest.raises(ValueError):
         Database(exec_mode=mode)
 
@@ -553,7 +543,6 @@ def test_fault_matrix_under_parallel(tmp_path, monkeypatch, point, action):
     from repro.rss.disk import DiskManager
     from repro.rss.faults import FaultPlan
 
-    monkeypatch.delenv("REPRO_EXEC", raising=False)
     db = build_db(tmp_path / "db.pages", PROBE_SETUP)
     assert _hash_probed(db, "SELECT O.V, I.W FROM O, I WHERE O.K = I.K")
     built = _count_bucket_builds(monkeypatch)
